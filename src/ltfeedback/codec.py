@@ -138,12 +138,6 @@ class Encoder:
     def eligible_count(self) -> int:
         return sum(g.count for g in self._groups)
 
-    def eligible_indices(self) -> set[int]:
-        out: set[int] = set()
-        for g in self._groups:
-            out.update(g.members)
-        return out
-
     def _rebuild_groups(self):
         layers = self.block.layers
         if layers is None:

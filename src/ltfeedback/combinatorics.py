@@ -149,11 +149,12 @@ def _wallenius_cached(x: tuple, sizes: tuple, weights: tuple) -> float:
         return s
 
     def fprime(v):
+        # xg*cg/(e^cv - 1), written so that a large cv underflows to 0
+        # instead of overflowing expm1.
         s = -1.0
         for xg, cg in active:
             cv = cg * v
-            if cv < 745.0:
-                s += xg * cg / expm1(cv)
+            s += xg * cg * exp(-cv) / -expm1(-cv)
         return s
 
     # fprime decreases from +inf at v=0+ to -1, and is already negative at

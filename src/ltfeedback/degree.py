@@ -5,11 +5,25 @@ and XORs that many randomly chosen input symbols.  Once the receiver has
 decoded part of the block, arriving symbols are stripped of known
 neighbors, so the degree the decoder actually sees is a hypergeometric
 mixture of the encoder's distribution.  This module builds the standard
-distributions and the closed-form transforms of that stripping process:
-the plain reduced distribution, its form under acknowledged symbols, the
-redundancy probability, the zero-avoiding adaptive distribution, and the
-two-layer / N-layer reduced distributions of weighted (unequal error
-protection) codes.
+distributions and the transforms of that stripping process: the plain
+reduced distribution, its form under acknowledged symbols, the redundancy
+probability, the zero-avoiding adaptive distribution, and the two-layer /
+N-layer reduced distributions of weighted (unequal error protection) codes.
+
+The single-layer transforms are views of one thinning recurrence.  Let
+Omega_L(d) be the probability that a symbol whose neighbors are uniform
+among n eligible inputs has d neighbors among the L still undecoded.
+Omega_n is the encoder's pmf (mass above n folded into degree n), and
+decoding one more input, chosen uniformly among the L, gives
+
+    Omega_{L-1}(d) = Omega_L(d)*(L-d)/L + Omega_L(d+1)*(d+1)/L,
+
+a convex combination with no cancellation (the state recursion of Karp,
+Luby and Shokrollahi, "Finite length analysis of LT codes", ISIT 2004).
+Rows are kept only at checkpoints every ceil(sqrt(n)) levels: building
+them takes n steps and about n^1.5/2 floats, and any other row is at most
+ceil(sqrt(n)) - 1 steps of O(n) below a checkpoint.  A few such tables are
+cached, keyed on the pmf bytes and n.
 """
 
 from __future__ import annotations
@@ -40,6 +54,8 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+# Thinning tables kept at once; each holds about n^1.5/2 floats (4 MB at n = 10^4).
+_THIN_TABLES = 4
 
 
 class DegreeDistribution:
@@ -49,7 +65,7 @@ class DegreeDistribution:
     (reduced) forms may.  The pmf is immutable once constructed.
     """
 
-    __slots__ = ("k", "pmf", "_cdf", "_token")
+    __slots__ = ("k", "pmf", "_cdf")
 
     def __init__(self, k: int, pmf):
         if k < 1:
@@ -66,7 +82,6 @@ class DegreeDistribution:
         self.k = k
         self.pmf = arr
         self._cdf = None
-        self._token = None
 
     @property
     def cdf(self) -> np.ndarray:
@@ -75,12 +90,6 @@ class DegreeDistribution:
             c.flags.writeable = False
             self._cdf = c
         return self._cdf
-
-    def token(self):
-        """Hashable identity of (k, pmf), usable as a cache key."""
-        if self._token is None:
-            self._token = (self.k, hash(self.pmf.tobytes()))
-        return self._token
 
     def __repr__(self):
         return f"DegreeDistribution(k={self.k})"
@@ -153,34 +162,47 @@ def sample_degrees(dist: DegreeDistribution, rng: np.random.Generator, size: int
     return np.minimum(idx, dist.k)
 
 
-def _log_pmf(pmf: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(pmf > 0, np.log(np.where(pmf > 0, pmf, 1.0)), -np.inf)
+def _thin_step(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Omega_{L-1} from Omega_L, L = row.size - 1: one more of the L
+    undecoded symbols is decoded, chosen uniformly, so
+    Omega_{L-1}(d) = Omega_L(d)*(L-d)/L + Omega_L(d+1)*(d+1)/L."""
+    level = row.size - 1
+    return (row[:-1] * (level - idx[:level]) + row[1:] * idx[1 : level + 1]) / level
 
 
-def _strip_mixture(pmf: np.ndarray, eligible: int, undecoded: int) -> np.ndarray:
-    """Distribution of the number of undecoded neighbors when a symbol's
-    degree is drawn from `pmf` and its neighbors are chosen uniformly among
-    `eligible` symbols of which `undecoded` are not yet decoded.
+@lru_cache(maxsize=_THIN_TABLES)
+def _thinning_checkpoints(pmf_bytes: bytes, n: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    """Rows Omega_L for L = n, n-s, n-2s, ... >= 0 with stride s = ceil(sqrt(n)),
+    each of length L+1.  The pmf's mass above n goes to degree n, as the
+    encoder clamps oversized draws to the eligible set."""
+    pmf = np.frombuffer(pmf_bytes)
+    row = pmf[: n + 1].copy()
+    row[n] += pmf[n + 1 :].sum()
+    stride = math.isqrt(max(n - 1, 0)) + 1
+    idx = np.arange(n + 1, dtype=np.float64)
+    rows = [row]
+    for level in range(n - 1, -1, -1):
+        row = _thin_step(row, idx)
+        if (n - level) % stride == 0:
+            rows.append(row)
+    for r in rows:
+        r.flags.writeable = False
+    return stride, tuple(rows)
 
-    Entry [d] for 0 <= d <= undecoded is
-        sum_i pmf[i] * C(undecoded, d) * C(eligible-undecoded, i-d) / C(eligible, i).
-    Mass of `pmf` above `eligible` is treated as a draw of the full eligible
-    set (the encoder clamps oversized degrees), contributing to d = undecoded.
-    """
-    i = np.arange(eligible + 1)
-    d = np.arange(undecoded + 1)
-    log_terms = (
-        _log_pmf(pmf[: eligible + 1])[None, :]
-        + log_binomial(undecoded, d)[:, None]
-        + log_binomial(eligible - undecoded, i[None, :] - d[:, None])
-        - log_binomial(eligible, i)[None, :]
-    )
-    out = np.exp(log_terms).sum(axis=1)
-    tail = pmf[eligible + 1 :].sum()
-    if tail > 0:
-        out[undecoded] += tail
-    return out
+
+def _thinned(pmf: np.ndarray, n: int, undecoded: int) -> np.ndarray:
+    """Omega_L for L = `undecoded`: the pmf of the number of undecoded
+    neighbors of a symbol whose degree is drawn from `pmf` and whose
+    neighbors are chosen uniformly among `n` eligible symbols, `undecoded`
+    of them still unknown.  Steps fewer than ceil(sqrt(n)) levels down from
+    the checkpoint above, so a lookup costs O(sqrt(n) * n)."""
+    stride, rows = _thinning_checkpoints(pmf.tobytes(), n)
+    j = (n - undecoded) // stride
+    row = rows[j]
+    idx = np.arange(row.size, dtype=np.float64)
+    for _ in range(n - j * stride - undecoded):
+        row = _thin_step(row, idx)
+    return row
 
 
 def reduced_degree_dist(original: DegreeDistribution, undecoded: int) -> DegreeDistribution:
@@ -190,20 +212,18 @@ def reduced_degree_dist(original: DegreeDistribution, undecoded: int) -> DegreeD
     result is indexed 0..k with zero mass above `undecoded`; index 0 is the
     probability an arriving symbol is entirely redundant.
     """
-    k = original.k
-    if not 0 <= undecoded <= k:
-        raise ValueError("undecoded count must lie in 0..k")
-    out = np.zeros(k + 1)
-    out[: undecoded + 1] = _strip_mixture(original.pmf, k, undecoded)
-    return DegreeDistribution(k, out)
+    return reduced_degree_dist_acked(original, undecoded, 0)
 
 
 def redundancy_prob_acked(original: DegreeDistribution, undecoded: int, acked: int) -> float:
     """Probability an arriving symbol is entirely redundant when the encoder
     excludes `acked` acknowledged symbols and `undecoded` remain unknown.
 
-    Equals sum_i pmf[i] * C(k-acked-undecoded, i) / C(k-acked, i); strictly
-    decreasing in `acked` for undecoded >= 1.
+    With n = k-acked eligible symbols and L = `undecoded`, a degree-i symbol
+    is redundant when all i neighbors fall among the n-L decoded but
+    unacknowledged ones, so the probability is the running product
+        sum_i pmf[i] * prod_{t<i} (n-L-t)/(n-t).
+    Strictly decreasing in `acked` for undecoded >= 1.
     """
     k = original.k
     if not 0 <= undecoded <= k:
@@ -212,14 +232,11 @@ def redundancy_prob_acked(original: DegreeDistribution, undecoded: int, acked: i
         raise ValueError("acked count must lie in 0..k-undecoded")
     if undecoded == 0:
         return 1.0
-    decoded_unacked = k - acked - undecoded
-    i = np.arange(decoded_unacked + 1)
-    log_terms = (
-        _log_pmf(original.pmf[: decoded_unacked + 1])
-        + log_binomial(decoded_unacked, i)
-        - log_binomial(k - acked, i)
-    )
-    return float(np.exp(log_terms).sum())
+    n = k - acked
+    t = np.arange(n - undecoded)
+    survive = np.cumprod((n - undecoded - t) / (n - t))
+    pmf = original.pmf
+    return float(pmf[0] + pmf[1 : n - undecoded + 1] @ survive)
 
 
 def reduced_degree_dist_acked(
@@ -239,9 +256,8 @@ def reduced_degree_dist_acked(
         raise ValueError("undecoded count must lie in 0..k")
     if not 0 <= acked <= k - undecoded:
         raise ValueError("acked count must lie in 0..k-undecoded")
-    eligible = k - acked
     out = np.zeros(k + 1)
-    out[: undecoded + 1] = _strip_mixture(original.pmf, eligible, undecoded)
+    out[: undecoded + 1] = _thinned(original.pmf, k - acked, undecoded)
     return DegreeDistribution(k, out)
 
 
@@ -251,30 +267,16 @@ def adaptive_degree_dist(original: DegreeDistribution, undecoded: int) -> Degree
     redundant symbol.
 
     Assumes every decoded symbol has been acknowledged, so the encoder can
-    target the remaining block directly:
-        rho(d) = sum_j pmf[j] * C(L, d) * C(k-L, j-d) / ((1 - p0) * C(k, j))
-    for 1 <= d <= L, where p0 is the redundancy probability of the plain
-    reduced distribution.  The result is a distribution over a block of
-    size L = `undecoded`.
+    target the remaining block directly: the result is the reduced
+    distribution at L = `undecoded` with degree 0 dropped and the rest
+    renormalized, a distribution over a block of size L.
     """
     k = original.k
     if not 1 <= undecoded <= k:
         raise ValueError("undecoded count must lie in 1..k")
-    j = np.arange(k + 1)
-    d = np.arange(1, undecoded + 1)
-    log_terms = (
-        _log_pmf(original.pmf)[None, :]
-        + log_binomial(undecoded, d)[:, None]
-        + log_binomial(k - undecoded, j[None, :] - d[:, None])
-        - log_binomial(k, j)[None, :]
-    )
-    unnorm = np.exp(log_terms).sum(axis=1)
-    p0_terms = (
-        _log_pmf(original.pmf) + log_binomial(k - undecoded, j) - log_binomial(k, j)
-    )
-    p0 = np.exp(p0_terms).sum()
+    row = _thinned(original.pmf, k, undecoded)
     pmf = np.zeros(undecoded + 1)
-    pmf[1:] = unnorm / (1.0 - p0)
+    pmf[1:] = row[1:] / row[1:].sum()
     return DegreeDistribution(undecoded, pmf)
 
 
@@ -361,6 +363,20 @@ def _split_table(marked: int, group_size: int) -> np.ndarray:
     return np.exp(log_h)
 
 
+@lru_cache(maxsize=2048)
+def _layer_split(sizes: tuple[int, int], weights: tuple[float, float], degree: int):
+    """Base-layer counts js of a degree-`degree` symbol and their
+    probabilities phi under sequential weighted sampling.  Independent of
+    the decoding state, so a sweep over undecoded counts computes it once."""
+    m_base, m_refine = sizes
+    js = np.arange(max(0, degree - m_refine), min(degree, m_base) + 1)
+    params = WalleniusParams(sizes, weights, degree)
+    phi = np.array([wallenius_pmf((j, degree - j), params) for j in js])
+    js.flags.writeable = False
+    phi.flags.writeable = False
+    return js, phi
+
+
 def two_layer_reduced_dist(
     original: DegreeDistribution,
     layers: LayerConfig,
@@ -394,11 +410,7 @@ def two_layer_reduced_dist(
         p_i = original.pmf[i]
         if p_i == 0.0:
             continue
-        j_lo = max(0, i - m_refine)
-        j_hi = min(i, m_base)
-        js = np.arange(j_lo, j_hi + 1)
-        params = WalleniusParams((m_base, m_refine), weights, i)
-        phi = np.array([wallenius_pmf((j, i - j), params) for j in js])
+        js, phi = _layer_split(layers.layer_sizes, weights, i)
         out += p_i * (h_base[:, js] * phi) @ h_refine[:, i - js].T
     return TwoLayerReducedDist(out, undecoded_base, undecoded_refine)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .codec import DecoderSnapshot, Encoder
-from .degree import DegreeDistribution, adaptive_degree_dist
+from .degree import adaptive_degree_dist
 
 __all__ = ["FeedbackKind", "DistributionMode", "FeedbackPolicy", "apply_feedback"]
 
@@ -58,20 +58,6 @@ class FeedbackPolicy:
         return cls(FeedbackKind.LAYER_ACK, reparameterize_after_layer_ack=reparameterize)
 
 
-# Adaptive distributions depend only on (base distribution, remaining count),
-# so they are shared across encoders and trials.
-_ADAPTIVE_CACHE: dict = {}
-
-
-def _adaptive_for(base: DegreeDistribution, remaining: int) -> DegreeDistribution:
-    key = (base.token(), remaining)
-    dist = _ADAPTIVE_CACHE.get(key)
-    if dist is None:
-        dist = adaptive_degree_dist(base, remaining)
-        _ADAPTIVE_CACHE[key] = dist
-    return dist
-
-
 def apply_feedback(enc: Encoder, snapshot: DecoderSnapshot, policy: FeedbackPolicy) -> Encoder:
     """Update the encoder from the decoder state the feedback channel reports.
 
@@ -94,7 +80,7 @@ def apply_feedback(enc: Encoder, snapshot: DecoderSnapshot, policy: FeedbackPoli
         if remaining == 0:
             return enc
         if policy.distribution_mode is DistributionMode.ADAPTIVE:
-            enc.distribution = _adaptive_for(enc.base_distribution, remaining)
+            enc.distribution = adaptive_degree_dist(enc.base_distribution, remaining)
         else:
             if enc.dist_builder is None:
                 raise ValueError("per-symbol ack in original mode needs a dist_builder")

@@ -3,11 +3,16 @@
 All samplers here simulate the defining random processes step by step
 (sequential urn draws), tracking group membership only, which is exactly
 the statistic the closed forms describe.  None of them share code with the
-library's analytical routes.
+library's analytical routes.  The closed forms below evaluate the
+stripping transforms as hypergeometric mixtures in log space; they share
+only the `log_binomial` primitive with the library, whose transforms use
+the thinning recurrence instead.
 """
 
 import numpy as np
 from scipy import stats
+
+from ltfeedback.combinatorics import log_binomial
 
 
 def uniform_strip_counts(degrees, eligible, undecoded, rng):
@@ -128,3 +133,68 @@ def chi_square_pvalue(observed, probs, min_expected=5.0):
     if pooled_obs.size < 2:
         return 1.0
     return float(stats.chisquare(pooled_obs, pooled_exp).pvalue)
+
+
+def _log_pmf(pmf):
+    with np.errstate(divide="ignore"):
+        return np.where(pmf > 0, np.log(np.where(pmf > 0, pmf, 1.0)), -np.inf)
+
+
+def strip_mixture(pmf, eligible, undecoded):
+    """Distribution of the number of undecoded neighbors when a symbol's
+    degree is drawn from `pmf` and its neighbors are chosen uniformly among
+    `eligible` symbols of which `undecoded` are not yet decoded.
+
+    Entry [d] for 0 <= d <= undecoded is
+        sum_i pmf[i] * C(undecoded, d) * C(eligible-undecoded, i-d) / C(eligible, i).
+    Mass of `pmf` above `eligible` is treated as a draw of the full eligible
+    set (the encoder clamps oversized degrees), contributing to d = undecoded.
+    """
+    i = np.arange(eligible + 1)
+    d = np.arange(undecoded + 1)
+    log_terms = (
+        _log_pmf(pmf[: eligible + 1])[None, :]
+        + log_binomial(undecoded, d)[:, None]
+        + log_binomial(eligible - undecoded, i[None, :] - d[:, None])
+        - log_binomial(eligible, i)[None, :]
+    )
+    out = np.exp(log_terms).sum(axis=1)
+    tail = pmf[eligible + 1 :].sum()
+    if tail > 0:
+        out[undecoded] += tail
+    return out
+
+
+def redundancy_closed_form(pmf, k, undecoded, acked):
+    """sum_i pmf[i] * C(k-acked-undecoded, i) / C(k-acked, i), the chance
+    that every neighbor is decoded but unacknowledged."""
+    if undecoded == 0:
+        return 1.0
+    decoded_unacked = k - acked - undecoded
+    i = np.arange(decoded_unacked + 1)
+    log_terms = (
+        _log_pmf(pmf[: decoded_unacked + 1])
+        + log_binomial(decoded_unacked, i)
+        - log_binomial(k - acked, i)
+    )
+    return float(np.exp(log_terms).sum())
+
+
+def adaptive_closed_form(pmf, k, undecoded):
+    """rho(d) = sum_j pmf[j] * C(L, d) * C(k-L, j-d) / ((1 - p0) * C(k, j))
+    for 1 <= d <= L = `undecoded`, where p0 is the redundancy probability
+    of the plain reduced distribution; entry 0 is zero."""
+    j = np.arange(k + 1)
+    d = np.arange(1, undecoded + 1)
+    log_terms = (
+        _log_pmf(pmf)[None, :]
+        + log_binomial(undecoded, d)[:, None]
+        + log_binomial(k - undecoded, j[None, :] - d[:, None])
+        - log_binomial(k, j)[None, :]
+    )
+    unnorm = np.exp(log_terms).sum(axis=1)
+    p0_terms = _log_pmf(pmf) + log_binomial(k - undecoded, j) - log_binomial(k, j)
+    p0 = np.exp(p0_terms).sum()
+    out = np.zeros(undecoded + 1)
+    out[1:] = unnorm / (1.0 - p0)
+    return out

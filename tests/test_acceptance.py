@@ -7,6 +7,7 @@ prints a PASS/FAIL line per criterion with its runtime.
 import itertools
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from ltfeedback.codec import Decoder, Encoder, InputBlock
@@ -166,6 +167,7 @@ def test_c06_n_layer_specializes_to_two_layer():
         assert np.abs(joint_n - joint_2).max() <= 1e-9
 
 
+@pytest.mark.slow
 def test_c07_single_layer_feedback_ordering():
     """k=1000, 200 runs per scheme: adaptive ack beats no feedback by a
     little; naive ack degrades by far more than five times that margin."""
@@ -178,6 +180,7 @@ def test_c07_single_layer_feedback_ordering():
     assert sum(s.payload_errors for s in result.schemes.values()) == 0
 
 
+@pytest.mark.slow
 def test_c08_layer_ack_helps_two_layer_codes():
     """k=1000, alpha=0.5, beta=9, 200 runs: the base layer finishes first in
     over 99% of runs and whole-layer ack lowers the mean total overhead at
@@ -195,6 +198,7 @@ def test_c08_layer_ack_helps_two_layer_codes():
     assert sum(s.payload_errors for s in result.schemes.values()) == 0
 
 
+@pytest.mark.slow
 def test_c09_deadline_distortion_sweep():
     """k=100, deadline of 2k sent symbols, 100 trials per point on the grid
     0:0.05:1, asserting:

@@ -70,6 +70,16 @@ class TestAnalyzeCommands:
         corner = [r for r in rows if r[0] == "50" and r[1] == "50"]
         assert len(corner) == 1 and float(corner[0][2]) == 0.0
 
+    def test_two_layer_large_weighted_argument_does_not_overflow(self, tmp_path):
+        # k=80 drives the Wallenius peak search to c*v between 709.78 and
+        # 745, where 1/expm1(c*v) used to overflow and exit 3
+        out = tmp_path / "grid.csv"
+        rc = main(["analyze", "two-layer", "--k", "80", "--grid-step", "10",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert rows[0][:2] == ["0", "0"] and float(rows[0][2]) == 1.0
+
     def test_two_layer_grid_matches_monte_carlo(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["analyze", "two-layer", "--k", "100", "--alpha", "0.5",

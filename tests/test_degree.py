@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ltfeedback import degree
 from ltfeedback.degree import (
     DegreeDistribution,
     LayerConfig,
@@ -21,7 +22,10 @@ from ltfeedback.degree import (
     two_layer_reduced_dist,
 )
 from oracles import (
+    adaptive_closed_form,
     chi_square_pvalue,
+    redundancy_closed_form,
+    strip_mixture,
     tv_distance,
     uniform_strip_counts,
     weighted_strip_counts,
@@ -218,6 +222,62 @@ class TestAdaptiveDegreeDist:
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
             adaptive_degree_dist(RSD100, 0)
+
+
+class TestThinningKernel:
+    """The single-layer transforms, all views of one thinning recurrence,
+    against the log-binomial closed forms and exact integer binomials."""
+
+    @pytest.mark.parametrize(
+        "k", [100, pytest.param(1000, marks=pytest.mark.slow)]
+    )
+    def test_matches_closed_forms_at_every_undecoded_count(self, k):
+        dist = robust_soliton(RsdParams(k, 0.1, 1.0))
+        for acked in (0, 3 * k // 10, 7 * k // 10):
+            for undecoded in range(k - acked + 1):
+                got = reduced_degree_dist_acked(dist, undecoded, acked).pmf
+                want = strip_mixture(dist.pmf, k - acked, undecoded)
+                assert np.abs(got[: undecoded + 1] - want).max() <= 1e-12
+                assert abs(
+                    redundancy_prob_acked(dist, undecoded, acked)
+                    - redundancy_closed_form(dist.pmf, k, undecoded, acked)
+                ) <= 1e-12
+        for undecoded in range(1, k + 1):
+            got = adaptive_degree_dist(dist, undecoded).pmf
+            want = adaptive_closed_form(dist.pmf, k, undecoded)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_exact_binomials_at_ten_thousand(self):
+        def binomial_row(m):
+            # C(m, 0..m) as exact integers, each from the previous one
+            row = [1]
+            for j in range(m):
+                row.append(row[-1] * (m - j) // (j + 1))
+            return row
+
+        n = 10_000
+        dist = robust_soliton(RsdParams(n, 0.1, 1.0))
+        choose_n = binomial_row(n)
+        assert choose_n[37] == math.comb(n, 37)
+        for undecoded in (10, 100):
+            choose_rest = binomial_row(n - undecoded)
+            reduced = reduced_degree_dist(dist, undecoded).pmf
+            for d in (0, 1, 2, 5):
+                ways = math.comb(undecoded, d)
+                exact = math.fsum(
+                    float(dist.pmf[i]) * (ways * choose_rest[i - d] / choose_n[i])
+                    for i in range(d, n - undecoded + d + 1)
+                )
+                assert abs(reduced[d] - exact) <= 1e-13, (undecoded, d)
+
+    def test_cache_holds_a_fixed_number_of_tables(self):
+        bound = degree._THIN_TABLES
+        for c in np.linspace(0.05, 1.0, 20):
+            dist = robust_soliton(RsdParams(200, float(c), 1.0))
+            for undecoded in (1, 57, 200):
+                adaptive_degree_dist(dist, undecoded)
+                assert degree._thinning_checkpoints.cache_info().currsize <= bound
+        assert degree._thinning_checkpoints.cache_info().currsize == bound
 
 
 LAYERS_EQ = LayerConfig((50, 50), (1.0, 1.0))
