@@ -8,13 +8,7 @@ simulation harness with distortion evaluation.
 
 __version__ = "0.1.0"
 
-from .combinatorics import (
-    WalleniusParams,
-    hypergeom_pmf,
-    log_binomial,
-    wallenius_pmf,
-    weighted_sample_without_replacement,
-)
+from .combinatorics import WalleniusParams, log_binomial, wallenius_pmf
 from .degree import (
     DegreeDistribution,
     LayerConfig,
@@ -49,10 +43,8 @@ from .simulator import (
 __all__ = [
     "__version__",
     "log_binomial",
-    "hypergeom_pmf",
     "WalleniusParams",
     "wallenius_pmf",
-    "weighted_sample_without_replacement",
     "DegreeDistribution",
     "RsdParams",
     "LayerConfig",

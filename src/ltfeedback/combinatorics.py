@@ -1,30 +1,30 @@
-"""Log-space combinatorial primitives and weighted urn sampling.
+"""Log-space binomials and the law of sequential weighted sampling.
 
 Binomial coefficients are evaluated through a cached extended-precision
 log-factorial table, so ratios of coefficients with arguments in the
 thousands neither overflow nor lose the accuracy the degree-distribution
 transforms downstream require.  The law of sequential weighted sampling
 without replacement (the noncentral hypergeometric of the Wallenius kind)
-is provided both as a pmf and as a sampler; the two are implemented by
-independent routes so one can check the other.
+is tabulated by its draw-by-draw recursion, one table per urn, and its
+pmf is a lookup in that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, expm1, log, log1p
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "log_binomial",
-    "hypergeom_pmf",
     "WalleniusParams",
     "wallenius_pmf",
-    "weighted_sample_without_replacement",
+    "wallenius_table",
 ]
+
+# Wallenius tables kept at once; each holds prod(m_g + 1) floats.
+_WALLENIUS_TABLES = 4
 
 # Cumulative log-factorials, kept in 80-bit precision so differences of
 # nearby entries stay accurate to ~1e-13 even at n = 10^4.
@@ -63,23 +63,6 @@ def log_binomial(n, r):
     return out
 
 
-def hypergeom_pmf(x: int, population: int, successes: int, draws: int) -> float:
-    """P(exactly x marked items in a uniform draw of `draws` from `population`).
-
-    `successes` of the population are marked.  Zero outside the support.
-    """
-    if not 0 <= successes <= population:
-        raise ValueError("need 0 <= successes <= population")
-    if not 0 <= draws <= population:
-        raise ValueError("need 0 <= draws <= population")
-    lp = (
-        log_binomial(successes, x)
-        + log_binomial(population - successes, draws - x)
-        - log_binomial(population, draws)
-    )
-    return float(np.exp(lp))
-
-
 @dataclass(frozen=True)
 class WalleniusParams:
     """Urn description for sequential weighted sampling without replacement.
@@ -110,14 +93,7 @@ class WalleniusParams:
 def wallenius_pmf(counts, params: WalleniusParams) -> float:
     """Probability of observing per-group `counts` after `params.draws`
     sequential draws, each proportional to the remaining group weights.
-
-    Evaluated from the integral form of the law: with
-    D = sum_g w_g*(m_g - x_g), the probability equals
-    prod_g C(m_g, x_g) * integral_0^1 prod_g (1 - t^(w_g/D))^(x_g) dt.
-    The integral is computed on the substitution t = exp(-v), which turns
-    the boundary layer at t=0 into a smooth bump that adaptive quadrature
-    resolves to ~1e-12 absolute error.
-    """
+    A lookup in the urn's `wallenius_table`."""
     x = tuple(int(c) for c in counts)
     if len(x) != len(params.group_sizes):
         raise ValueError("counts length must match group count")
@@ -125,72 +101,46 @@ def wallenius_pmf(counts, params: WalleniusParams) -> float:
         raise ValueError("counts must lie within group sizes")
     if sum(x) != params.draws:
         raise ValueError("counts must sum to draws")
-    return _wallenius_cached(x, params.group_sizes, params.weights)
+    return float(wallenius_table(params.group_sizes, params.weights)[x])
 
 
-@lru_cache(maxsize=1_000_000)
-def _wallenius_cached(x: tuple, sizes: tuple, weights: tuple) -> float:
-    d_total = sum(w * (m - xg) for w, m, xg in zip(weights, sizes, x))
-    if d_total == 0.0:
-        # Urn exhausted: drawing everything is the only reachable outcome.
-        return 1.0
-    active = [(xg, w / d_total) for xg, w in zip(x, weights) if xg > 0]
-    if not active:
-        return 1.0
-    n = sum(x)
-    lc = sum(log_binomial(m, xg) for m, xg in zip(sizes, x))
-
-    def f(v):
-        s = -v
-        for xg, cg in active:
-            cv = cg * v
-            if cv < 745.0:  # below this exp(-cv) underflows and the factor is 1
-                s += xg * log1p(-exp(-cv))
-        return s
-
-    def fprime(v):
-        # xg*cg/(e^cv - 1), written so that a large cv underflows to 0
-        # instead of overflowing expm1.
-        s = -1.0
-        for xg, cg in active:
-            cv = cg * v
-            s += xg * cg * exp(-cv) / -expm1(-cv)
-        return s
-
-    # fprime decreases from +inf at v=0+ to -1, and is already negative at
-    # v = n + 1, so the peak of exp(f) is bracketed.
-    v_peak = optimize.brentq(fprime, 1e-12, n + 1.0, xtol=1e-12, rtol=1e-14)
-    f_peak = f(v_peak)
-    upper = v_peak + 1.0
-    while f(upper) - f_peak > -60.0:
-        upper *= 2.0
-    integrand = lambda v: exp(f(v) - f_peak)
-    value, _ = integrate.quad(
-        integrand, 0.0, upper, points=[v_peak], limit=300, epsabs=1e-14, epsrel=1e-12
-    )
-    return exp(lc + f_peak + log(value))
+def level_sums(shape) -> np.ndarray:
+    """Array of the given shape whose entry at x is sum(x)."""
+    return sum(np.ix_(*(np.arange(n) for n in shape)))
 
 
-def weighted_sample_without_replacement(item_weights, n: int, rng: np.random.Generator):
-    """Draw n distinct indices sequentially, each proportional to the
-    weights of the items still in the urn.  Returns indices in draw order.
+@lru_cache(maxsize=_WALLENIUS_TABLES)
+def wallenius_table(sizes: tuple[int, ...], weights: tuple[float, ...]) -> np.ndarray:
+    """T[x] = P(the first sum(x) draws take x_g items from group g), for
+    every state 0 <= x_g <= sizes[g], filled by the draw-by-draw recursion
+
+        T[x] = sum_g T[x - e_g] * w_g*(m_g - x_g + 1) / (D(x) + w_g),
+
+    with D(x) = sum_h w_h*(m_h - x_h) the weight left in the urn (Fog,
+    "Calculation methods for Wallenius' noncentral hypergeometric
+    distribution", 2008).  Levels sum(x) = n are filled in turn, each from
+    the one before, so a table costs O(N * #states) and one float per state.
+    Read-only; a few tables are cached, keyed on (sizes, weights).
     """
-    w = np.asarray(item_weights, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("item_weights must be one-dimensional")
-    if not ((w > 0) & np.isfinite(w)).all():
-        raise ValueError("item weights must be strictly positive and finite")
-    if n < 0 or n > w.size:
-        raise ValueError("cannot draw more items than the urn holds")
-    remaining = w.copy()
-    chosen = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        cum = np.cumsum(remaining)
-        u = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, u, side="right"))
-        while idx < w.size and remaining[idx] == 0.0:  # fp boundary guard
-            idx += 1
-        idx = min(idx, w.size - 1)
-        chosen[t] = idx
-        remaining[idx] = 0.0
-    return chosen
+    shape = tuple(m + 1 for m in sizes)
+    w = np.asarray(weights, dtype=np.float64)
+    m = np.asarray(sizes)
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    level = level_sums(shape).ravel()
+    order = np.argsort(level, kind="stable")
+    ends = np.cumsum(np.bincount(level))
+    table = np.zeros(level.size)
+    table[0] = 1.0
+    for start, end in zip(ends[:-1], ends[1:]):
+        idx = order[start:end]
+        x = np.unravel_index(idx, shape)
+        left = sum(wg * (mg - xg) for wg, mg, xg in zip(w, m, x))
+        acc = np.zeros(idx.size)
+        for wg, mg, xg, stride in zip(w, m, x, strides):
+            # x_g = 0 has no predecessor along g; its index is masked out
+            step = table[idx - stride] * (wg * (mg - xg + 1) / (left + wg))
+            acc += np.where(xg > 0, step, 0.0)
+        table[idx] = acc
+    table = table.reshape(shape)
+    table.flags.writeable = False
+    return table

@@ -24,6 +24,12 @@ Rows are kept only at checkpoints every ceil(sqrt(n)) levels: building
 them takes n steps and about n^1.5/2 floats, and any other row is at most
 ceil(sqrt(n)) - 1 steps of O(n) below a checkpoint.  A few such tables are
 cached, keyed on the pmf bytes and n.
+
+The layered transforms are tensor contractions.  W[j] = pmf[sum(j)] * T[j]
+is the probability that a symbol takes j_n neighbors from layer n, with T
+the Wallenius table of the layer urn; contracting W with each layer's
+hypergeometric split table along that layer's axis gives the joint
+reduced distribution.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import WalleniusParams, log_binomial, wallenius_pmf
+# wallenius_pmf is not called here; perfbench's tracer wraps
+# `degree.wallenius_pmf`, so the name stays bound in this module.
+from .combinatorics import level_sums, log_binomial, wallenius_pmf, wallenius_table  # noqa: F401
 
 __all__ = [
     "DegreeDistribution",
@@ -363,68 +371,18 @@ def _split_table(marked: int, group_size: int) -> np.ndarray:
     return np.exp(log_h)
 
 
-@lru_cache(maxsize=2048)
-def _layer_split(sizes: tuple[int, int], weights: tuple[float, float], degree: int):
-    """Base-layer counts js of a degree-`degree` symbol and their
-    probabilities phi under sequential weighted sampling.  Independent of
-    the decoding state, so a sweep over undecoded counts computes it once."""
-    m_base, m_refine = sizes
-    js = np.arange(max(0, degree - m_refine), min(degree, m_base) + 1)
-    params = WalleniusParams(sizes, weights, degree)
-    phi = np.array([wallenius_pmf((j, degree - j), params) for j in js])
-    js.flags.writeable = False
-    phi.flags.writeable = False
-    return js, phi
-
-
 def two_layer_reduced_dist(
     original: DegreeDistribution,
     layers: LayerConfig,
     undecoded_base: int,
     undecoded_refine: int,
 ) -> TwoLayerReducedDist:
-    """Joint reduced-degree distribution of a two-layer weighted code.
-
-    The split of a degree-i symbol across layers follows the sequential
-    weighted-sampling law (wallenius_pmf); within each layer the split
-    between decoded and undecoded neighbors is uniform, hence
-    hypergeometric.  Summing over the degree and the layer split yields the
-    joint pmf over (base, refinement) reduced degrees.
-    """
+    """Joint reduced-degree distribution of a two-layer weighted code: the
+    N = 2 case of n_layer_reduced_dist, h_base @ W @ h_refine.T."""
     if layers.n_layers != 2:
         raise ValueError("two_layer_reduced_dist requires exactly two layers")
-    k = layers.k
-    if original.k != k:
-        raise ValueError("distribution block length must match layer config")
-    m_base, m_refine = layers.layer_sizes
-    if not 0 <= undecoded_base <= m_base:
-        raise ValueError("undecoded_base must lie in 0..base layer size")
-    if not 0 <= undecoded_refine <= m_refine:
-        raise ValueError("undecoded_refine must lie in 0..refinement layer size")
-    w_base, w_refine = layers.weight_ratios
-    weights = (w_base / w_refine, 1.0)
-    h_base = _split_table(undecoded_base, m_base)
-    h_refine = _split_table(undecoded_refine, m_refine)
-    out = np.zeros((undecoded_base + 1, undecoded_refine + 1))
-    for i in range(k + 1):
-        p_i = original.pmf[i]
-        if p_i == 0.0:
-            continue
-        js, phi = _layer_split(layers.layer_sizes, weights, i)
-        out += p_i * (h_base[:, js] * phi) @ h_refine[:, i - js].T
-    return TwoLayerReducedDist(out, undecoded_base, undecoded_refine)
-
-
-def _compositions(total: int, caps: tuple[int, ...]):
-    """All nonnegative integer vectors below `caps` summing to `total`."""
-    if len(caps) == 1:
-        if 0 <= total <= caps[0]:
-            yield (total,)
-        return
-    head_max = min(caps[0], total)
-    for h in range(head_max + 1):
-        for rest in _compositions(total - h, caps[1:]):
-            yield (h,) + rest
+    joint = n_layer_reduced_dist(original, layers, (undecoded_base, undecoded_refine))
+    return TwoLayerReducedDist(joint, undecoded_base, undecoded_refine)
 
 
 def n_layer_reduced_dist(
@@ -435,8 +393,11 @@ def n_layer_reduced_dist(
     `undecoded[n]` symbols of layer n remain unknown.  Returns an array of
     shape (undecoded[0]+1, ..., undecoded[N-1]+1); entry [d] is the
     probability an arriving symbol has d[n] undecoded neighbors in layer n.
-    The layer split of a degree-i symbol follows the multivariate
-    sequential weighted-sampling law; the within-layer splits are uniform.
+    The layer split of a symbol follows the multivariate sequential
+    weighted-sampling law and the within-layer splits are uniform, so the
+    result is the layer-split pmf W[j] = pmf[sum(j)] * T[j], T the
+    Wallenius table of the layer urn, contracted with each layer's
+    hypergeometric split table along that layer's axis.
     """
     sizes = layers.layer_sizes
     und = tuple(int(u) for u in undecoded)
@@ -444,22 +405,12 @@ def n_layer_reduced_dist(
         raise ValueError("undecoded vector length must match layer count")
     if any(u < 0 or u > m for u, m in zip(und, sizes)):
         raise ValueError("undecoded counts must lie within layer sizes")
-    k = layers.k
-    if original.k != k:
+    if original.k != layers.k:
         raise ValueError("distribution block length must match layer config")
-    tables = [_split_table(u, m) for u, m in zip(und, sizes)]
-    out = np.zeros(tuple(u + 1 for u in und))
-    for i in range(k + 1):
-        p_i = original.pmf[i]
-        if p_i == 0.0:
-            continue
-        params = WalleniusParams(sizes, layers.weight_ratios, i)
-        for j in _compositions(i, sizes):
-            phi = wallenius_pmf(j, params)
-            if phi == 0.0:
-                continue
-            block = tables[0][:, j[0]]
-            for table, jn in zip(tables[1:], j[1:]):
-                block = np.multiply.outer(block, table[:, jn])
-            out += (p_i * phi) * block
-    return out
+    table = wallenius_table(sizes, layers.weight_ratios)
+    joint = original.pmf[level_sums(table.shape)] * table
+    # each contraction consumes the leading axis and appends the reduced
+    # one, so after N of them the axes are back in layer order
+    for u, m in zip(und, sizes):
+        joint = np.tensordot(joint, _split_table(u, m), axes=([0], [1]))
+    return joint

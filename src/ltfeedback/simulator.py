@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every forked worker
 
 from . import __version__
 from .codec import Decoder, Encoder, InputBlock

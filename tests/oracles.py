@@ -7,10 +7,20 @@ library's analytical routes.  The closed forms below evaluate the
 stripping transforms as hypergeometric mixtures in log space; they share
 only the `log_binomial` primitive with the library, whose transforms use
 the thinning recurrence instead.
+
+The Wallenius pmf is also kept in its integral form, evaluated by
+quadrature, which shares nothing with the library's draw-by-draw table;
+`two_layer_sum` builds the two-layer reduced distribution from it degree
+by degree, as an independent route to the library's tensor contraction.
+The central hypergeometric pmf and the item-level weighted sampler are
+test fixtures that the library itself never needed.
 """
 
+from functools import lru_cache
+from math import exp, expm1, log, log1p
+
 import numpy as np
-from scipy import stats
+from scipy import integrate, optimize, stats
 
 from ltfeedback.combinatorics import log_binomial
 
@@ -197,4 +207,126 @@ def adaptive_closed_form(pmf, k, undecoded):
     p0 = np.exp(p0_terms).sum()
     out = np.zeros(undecoded + 1)
     out[1:] = unnorm / (1.0 - p0)
+    return out
+
+
+def hypergeom_pmf(x: int, population: int, successes: int, draws: int) -> float:
+    """P(exactly x marked items in a uniform draw of `draws` from `population`).
+
+    `successes` of the population are marked.  Zero outside the support.
+    """
+    if not 0 <= successes <= population:
+        raise ValueError("need 0 <= successes <= population")
+    if not 0 <= draws <= population:
+        raise ValueError("need 0 <= draws <= population")
+    lp = (
+        log_binomial(successes, x)
+        + log_binomial(population - successes, draws - x)
+        - log_binomial(population, draws)
+    )
+    return float(np.exp(lp))
+
+
+def weighted_sample_without_replacement(item_weights, n: int, rng: np.random.Generator):
+    """Draw n distinct indices sequentially, each proportional to the
+    weights of the items still in the urn.  Returns indices in draw order.
+    """
+    w = np.asarray(item_weights, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError("item_weights must be one-dimensional")
+    if not ((w > 0) & np.isfinite(w)).all():
+        raise ValueError("item weights must be strictly positive and finite")
+    if n < 0 or n > w.size:
+        raise ValueError("cannot draw more items than the urn holds")
+    remaining = w.copy()
+    chosen = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        cum = np.cumsum(remaining)
+        u = rng.random() * cum[-1]
+        idx = int(np.searchsorted(cum, u, side="right"))
+        while idx < w.size and remaining[idx] == 0.0:  # fp boundary guard
+            idx += 1
+        idx = min(idx, w.size - 1)
+        chosen[t] = idx
+        remaining[idx] = 0.0
+    return chosen
+
+
+@lru_cache(maxsize=1_000_000)
+def wallenius_integral(x: tuple, sizes: tuple, weights: tuple) -> float:
+    """Sequential weighted urn probability of per-group counts `x` from
+    the integral form of the law: with D = sum_g w_g*(m_g - x_g), it equals
+    prod_g C(m_g, x_g) * integral_0^1 prod_g (1 - t^(w_g/D))^(x_g) dt.
+    The integral is computed on the substitution t = exp(-v), which turns
+    the boundary layer at t=0 into a smooth bump that adaptive quadrature
+    resolves to ~1e-12 absolute error.
+    """
+    d_total = sum(w * (m - xg) for w, m, xg in zip(weights, sizes, x))
+    if d_total == 0.0:
+        # Urn exhausted: drawing everything is the only reachable outcome.
+        return 1.0
+    active = [(xg, w / d_total) for xg, w in zip(x, weights) if xg > 0]
+    if not active:
+        return 1.0
+    n = sum(x)
+    lc = sum(log_binomial(m, xg) for m, xg in zip(sizes, x))
+
+    def f(v):
+        s = -v
+        for xg, cg in active:
+            cv = cg * v
+            if cv < 745.0:  # below this exp(-cv) underflows and the factor is 1
+                s += xg * log1p(-exp(-cv))
+        return s
+
+    def fprime(v):
+        # xg*cg/(e^cv - 1), written so that a large cv underflows to 0
+        # instead of overflowing expm1.
+        s = -1.0
+        for xg, cg in active:
+            cv = cg * v
+            s += xg * cg * exp(-cv) / -expm1(-cv)
+        return s
+
+    # fprime decreases from +inf at v=0+ to -1, and is already negative at
+    # v = n + 1, so the peak of exp(f) is bracketed.
+    v_peak = optimize.brentq(fprime, 1e-12, n + 1.0, xtol=1e-12, rtol=1e-14)
+    f_peak = f(v_peak)
+    upper = v_peak + 1.0
+    while f(upper) - f_peak > -60.0:
+        upper *= 2.0
+    integrand = lambda v: exp(f(v) - f_peak)
+    value, _ = integrate.quad(
+        integrand, 0.0, upper, points=[v_peak], limit=300, epsabs=1e-14, epsrel=1e-12
+    )
+    return exp(lc + f_peak + log(value))
+
+
+def _split_table_oracle(marked, group_size):
+    """H[d, j] = P(d of j uniformly chosen group members are marked)."""
+    return np.array(
+        [
+            [hypergeom_pmf(d, group_size, marked, j) for j in range(group_size + 1)]
+            for d in range(marked + 1)
+        ]
+    )
+
+
+def two_layer_sum(pmf, layer_sizes, weights, undecoded_base, undecoded_refine):
+    """Joint pmf of (undecoded base, undecoded refinement) neighbors of a
+    two-layer weighted code, summed degree by degree: a degree-i symbol
+    takes j base neighbors with the Wallenius probability of
+    `wallenius_integral`, and each layer's split between decoded and
+    undecoded neighbors is hypergeometric."""
+    m_base, m_refine = layer_sizes
+    ratio = (weights[0] / weights[1], 1.0)
+    h_base = _split_table_oracle(undecoded_base, m_base)
+    h_refine = _split_table_oracle(undecoded_refine, m_refine)
+    out = np.zeros((undecoded_base + 1, undecoded_refine + 1))
+    for i in range(m_base + m_refine + 1):
+        if pmf[i] == 0.0:
+            continue
+        js = np.arange(max(0, i - m_refine), min(i, m_base) + 1)
+        phi = np.array([wallenius_integral((j, i - j), (m_base, m_refine), ratio) for j in js])
+        out += pmf[i] * (h_base[:, js] * phi) @ h_refine[:, i - js].T
     return out

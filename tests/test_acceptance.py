@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from ltfeedback.codec import Decoder, Encoder, InputBlock
-from ltfeedback.combinatorics import WalleniusParams, hypergeom_pmf, wallenius_pmf
+from ltfeedback.combinatorics import WalleniusParams, wallenius_pmf
 from ltfeedback.degree import (
     DegreeDistribution,
     RsdParams,
@@ -33,7 +33,7 @@ from ltfeedback.simulator import (
     run_trial,
     two_layer_config,
 )
-from oracles import tv_distance, uniform_strip_counts
+from oracles import hypergeom_pmf, tv_distance, two_layer_sum, uniform_strip_counts
 
 RSD100 = robust_soliton(RsdParams(100, 0.1, 1.0))
 
@@ -147,8 +147,10 @@ def test_c05_wallenius_correctness():
 
 
 def test_c06_n_layer_specializes_to_two_layer():
-    """The N-layer joint reduced distribution with N=2 equals the dedicated
-    two-layer form within 1e-9 on a ten-case grid."""
+    """The N-layer joint reduced distribution with N=2, and the two-layer
+    form built on it, equal the dedicated per-degree two-layer sum of the
+    oracles (its layer split from the Wallenius integral) within 1e-9 on a
+    ten-case grid."""
     rng = np.random.default_rng(606)
     cases = []
     for k, alpha, beta in [(40, 0.5, 9.0), (60, 0.25, 4.0), (100, 0.5, 9.0)]:
@@ -162,9 +164,11 @@ def test_c06_n_layer_specializes_to_two_layer():
             cases.append((dist, layers, lb, lr))
     assert len(cases) == 10
     for dist, layers, lb, lr in cases:
+        want = two_layer_sum(dist.pmf, layers.layer_sizes, layers.weight_ratios, lb, lr)
         joint_n = n_layer_reduced_dist(dist, layers, (lb, lr))
         joint_2 = two_layer_reduced_dist(dist, layers, lb, lr).pmf
-        assert np.abs(joint_n - joint_2).max() <= 1e-9
+        assert np.abs(joint_n - want).max() <= 1e-9
+        assert np.abs(joint_2 - want).max() <= 1e-9
 
 
 @pytest.mark.slow

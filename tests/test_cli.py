@@ -71,14 +71,26 @@ class TestAnalyzeCommands:
         assert len(corner) == 1 and float(corner[0][2]) == 0.0
 
     def test_two_layer_large_weighted_argument_does_not_overflow(self, tmp_path):
-        # k=80 drives the Wallenius peak search to c*v between 709.78 and
-        # 745, where 1/expm1(c*v) used to overflow and exit 3
+        # k=80 drove the old Wallenius quadrature's peak search to c*v
+        # between 709.78 and 745, where 1/expm1(c*v) overflowed and exited 3
         out = tmp_path / "grid.csv"
         rc = main(["analyze", "two-layer", "--k", "80", "--grid-step", "10",
                    "--out", str(out)])
         assert rc == 0
         _, rows = read_csv(out)
         assert rows[0][:2] == ["0", "0"] and float(rows[0][2]) == 1.0
+
+    def test_two_layer_at_k400(self, tmp_path):
+        # a 201 x 201 Wallenius table: large layers must stay cheap
+        out = tmp_path / "grid.csv"
+        rc = main(["analyze", "two-layer", "--k", "400", "--grid-step", "50",
+                   "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        cells = {(int(r[0]), int(r[1])): float(r[2]) for r in rows}
+        assert len(cells) == 25
+        assert abs(cells[(0, 0)] - 1.0) <= 1e-9
+        assert abs(cells[(200, 200)]) <= 1e-12
 
     def test_two_layer_grid_matches_monte_carlo(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -213,6 +225,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_import_loads_numpy_random_and_not_scipy(self):
+        # numpy.random loads lazily; importing it with the package means
+        # forked pool workers inherit it instead of importing it each
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ltfeedback; "
+             "print('scipy' in sys.modules, 'numpy.random' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LTFEEDBACK_OUTDIR", str(tmp_path))

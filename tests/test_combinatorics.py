@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from ltfeedback.combinatorics import (
-    WalleniusParams,
+from ltfeedback import combinatorics
+from ltfeedback.combinatorics import WalleniusParams, log_binomial, wallenius_pmf, wallenius_table
+from ltfeedback.simulator import two_layer_config
+from oracles import (
+    chi_square_pvalue,
     hypergeom_pmf,
-    log_binomial,
-    wallenius_pmf,
+    wallenius_integral,
+    wallenius_recursive,
+    weighted_group_counts,
     weighted_sample_without_replacement,
 )
-from oracles import wallenius_recursive, weighted_group_counts, chi_square_pvalue
 
 
 class TestLogBinomial:
@@ -170,6 +173,80 @@ class TestWalleniusPmf:
             wallenius_pmf((6, -2), params)
         with pytest.raises(ValueError):
             wallenius_pmf((1, 1), params)
+
+
+class TestWalleniusTable:
+    """The draw-by-draw table against the integral form evaluated by
+    quadrature, which shares no code with it."""
+
+    @staticmethod
+    def assert_matches_integral(sizes, weights, states):
+        table = wallenius_table(tuple(sizes), tuple(float(w) for w in weights))
+        for x in states:
+            want = wallenius_integral(tuple(x), tuple(sizes), tuple(float(w) for w in weights))
+            assert abs(table[tuple(x)] - want) <= 1e-10, (sizes, weights, x)
+
+    def test_c05_grids(self):
+        # the cases of test_c05_wallenius_correctness, drawn the same way
+        rng = np.random.default_rng(505)
+        for _ in range(100):
+            m1, m2 = (int(v) for v in rng.integers(1, 101, 2))
+            n = int(rng.integers(0, m1 + m2 + 1))
+            x = int(rng.integers(max(0, n - m2), min(m1, n) + 1))
+            self.assert_matches_integral((m1, m2), (1.0, 1.0), [(x, n - x)])
+        for _ in range(30):
+            m1, m2 = (int(v) for v in rng.integers(2, 90, 2))
+            n = int(rng.integers(1, m1 + m2))
+            x = int(rng.integers(max(0, n - m2), min(m1, n) + 1))
+            w1, w2 = (float(v) for v in rng.uniform(0.05, 20.0, 2))
+            self.assert_matches_integral((m1, m2), (w1, w2), [(x, n - x)])
+            self.assert_matches_integral((m1, m2), (w1 / w2, 1.0), [(x, n - x)])
+        cases = [
+            ((100, 100), (9.0, 1.0), 75),
+            ((130, 70), (0.4, 1.0), 110),
+            ((60, 70, 70), (9.0, 3.0, 1.0), 55),
+        ]
+        for sizes, weights, n in cases:
+            states = [
+                x for x in itertools.product(*[range(m + 1) for m in sizes]) if sum(x) == n
+            ]
+            self.assert_matches_integral(sizes, weights, states)
+
+    def test_two_layer_states_where_expm1_overflowed(self):
+        # alpha=0.5, beta=9: every state at k=80, and at k=400 every split
+        # of degrees from 1 to the whole block
+        layers = two_layer_config(80, 0.5, 9.0)
+        m1, m2 = layers.layer_sizes
+        states = [(a, b) for a in range(m1 + 1) for b in range(m2 + 1)]
+        self.assert_matches_integral(layers.layer_sizes, layers.weight_ratios, states)
+        layers = two_layer_config(400, 0.5, 9.0)
+        m1, m2 = layers.layer_sizes
+        states = [
+            (j, i - j)
+            for i in (1, 2, 7, 50, 199, 200, 201, 300, 390, 399, 400)
+            for j in range(max(0, i - m2), min(i, m1) + 1)
+        ]
+        self.assert_matches_integral(layers.layer_sizes, layers.weight_ratios, states)
+
+    def test_three_groups(self):
+        sizes, weights = (12, 8, 10), (9.0, 3.0, 1.0)
+        states = list(itertools.product(*[range(m + 1) for m in sizes]))
+        self.assert_matches_integral(sizes, weights, states)
+
+    def test_levels_are_distributions(self):
+        table = wallenius_table((30, 20, 25), (0.5, 4.0, 1.0))
+        level = combinatorics.level_sums(table.shape)
+        totals = np.bincount(level.ravel(), weights=table.ravel())
+        assert np.abs(totals - 1.0).max() <= 1e-12
+        assert not table.flags.writeable
+
+    def test_cache_holds_a_fixed_number_of_tables(self):
+        bound = combinatorics._WALLENIUS_TABLES
+        for beta in np.linspace(0.5, 10.0, 12):
+            params = WalleniusParams((20, 30), (float(beta), 1.0), 10)
+            wallenius_pmf((5, 5), params)
+            assert wallenius_table.cache_info().currsize <= bound
+        assert wallenius_table.cache_info().currsize == bound
 
 
 class TestWeightedSampling:

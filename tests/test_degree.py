@@ -27,6 +27,7 @@ from oracles import (
     redundancy_closed_form,
     strip_mixture,
     tv_distance,
+    two_layer_sum,
     uniform_strip_counts,
     weighted_strip_counts,
 )
@@ -324,8 +325,9 @@ class TestTwoLayerReducedDist:
 class TestNLayerReducedDist:
     def test_two_layer_specialization(self):
         joint = n_layer_reduced_dist(RSD100, LAYERS_UEP, (10, 40))
-        want = two_layer_reduced_dist(RSD100, LAYERS_UEP, 10, 40).pmf
+        want = two_layer_sum(RSD100.pmf, (50, 50), (9.0, 1.0), 10, 40)
         assert np.abs(joint - want).max() < 1e-9
+        assert np.abs(two_layer_reduced_dist(RSD100, LAYERS_UEP, 10, 40).pmf - want).max() < 1e-9
 
     def test_equal_weights_collapse_onto_total(self):
         k = 60
