@@ -271,37 +271,30 @@ def _cmd_simulate_single(cfg: dict, out: str) -> dict:
         k=cfg["k"], runs=cfg["runs"], seed=cfg["seed"], c=cfg["c"], delta=cfg["delta"],
         ser=cfg["ser"], workers=_workers(cfg),
     )
-    rows = []
-    for name, stats in result.schemes.items():
-        for received, frac in enumerate(stats.mean_undecoded_frac):
-            rows.append((name, received, frac))
+    rows = [(name, received, frac) for name, stats in result.schemes.items()
+            for received, frac in enumerate(stats.mean_undecoded_frac)]
     write_csv(out, ["scheme", "received", "mean_undecoded_frac"], rows)
     return {name: s.mean_overhead for name, s in result.schemes.items()}
 
 
 def _cmd_simulate_two_layer(cfg: dict, out: str) -> dict:
-    schemes = []
-    if cfg["ack"] in ("both", "none"):
-        schemes.append("two_layer_no_ack")
-    if cfg["ack"] in ("both", "layer"):
-        schemes.append("two_layer_layer_ack")
-    if cfg["baseline"]:
-        schemes.append("single_layer")
+    wanted = {
+        "two_layer_no_ack": cfg["ack"] in ("both", "none"),
+        "two_layer_layer_ack": cfg["ack"] in ("both", "layer"),
+        "single_layer": cfg["baseline"],
+    }
     result = experiment_two_layer_ack(
         k=cfg["k"], alpha=cfg["alpha"], beta=cfg["beta"], runs=cfg["runs"], seed=cfg["seed"],
         c=cfg["c"], delta=cfg["delta"], ser=cfg["ser"], workers=_workers(cfg),
-        schemes=tuple(schemes),
+        schemes=tuple(name for name, on in wanted.items() if on),
     )
-    layer_names = ("base", "refine")
     rows = []
     for name, stats in result.schemes.items():
-        for received, frac in enumerate(stats.mean_undecoded_frac):
-            rows.append((name, "total", received, frac))
+        curves = [("total", stats.mean_undecoded_frac)]
         if stats.mean_layer_undecoded_frac.shape[1] == 2:
-            for li, lname in enumerate(layer_names):
-                for received in range(stats.mean_layer_undecoded_frac.shape[0]):
-                    rows.append((name, lname, received,
-                                 stats.mean_layer_undecoded_frac[received, li]))
+            curves += zip(("base", "refine"), stats.mean_layer_undecoded_frac.T)
+        rows += [(name, layer, received, frac) for layer, curve in curves
+                 for received, frac in enumerate(curve)]
     write_csv(out, ["scheme", "layer", "received", "mean_undecoded_frac"], rows)
     return {name: s.mean_overhead for name, s in result.schemes.items()}
 
@@ -316,9 +309,8 @@ def _cmd_simulate_distortion(cfg: dict, out: str) -> dict:
         deadline_basis=cfg["deadline_basis"], workers=_workers(cfg),
     )
     names = list(result.mean_distortion)
-    rows = []
-    for gi, ser in enumerate(grid):
-        rows.append((float(ser),) + tuple(result.mean_distortion[name][gi] for name in names))
+    rows = [(float(ser),) + tuple(result.mean_distortion[name][gi] for name in names)
+            for gi, ser in enumerate(grid)]
     write_csv(out, ["ser"] + names, rows)
     return {"payload_errors": result.payload_errors}
 

@@ -138,14 +138,15 @@ def ideal_soliton(k: int) -> DegreeDistribution:
     return DegreeDistribution(k, pmf)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def robust_soliton(params: RsdParams) -> DegreeDistribution:
     """Ideal soliton plus the low-degree boost and spike, renormalized.
 
     The boost adds S/(i*k) below the spike index ceil(k/S) and
     S*ln(S/delta)/k at it; a spike index beyond k simply falls outside the
-    support.  Results are cached; the returned object is shared.
-    """
+    support.  The returned object is shared: 1024 cached entries of 16(k+1)
+    bytes (pmf, cdf) hold every size an acked k <= 1000 block passes through,
+    and at most 164 MB at k = 10^4."""
     k, delta = params.k, params.delta
     s = params.spike_scale
     raw = ideal_soliton(k).pmf.copy()

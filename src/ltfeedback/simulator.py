@@ -6,9 +6,10 @@ symbol, and records the per-layer undecoded counts at every reception.
 Experiment drivers average many independent trials: the single-layer
 feedback comparison, the two-layer layer-acknowledgment comparison, and
 the deadline-limited distortion sweep over erasure rates.  Per-trial
-random streams derive deterministically from (master seed, scheme, trial
-index), so aggregates do not depend on execution order and trials can run
-in parallel.
+random streams derive deterministically from (master seed, scheme index,
+trial index), with the grid index before the trial in the sweep, so
+aggregates do not depend on execution order.  Each experiment runs all
+its trials as one batch, in one process pool when it has workers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -290,20 +292,16 @@ def _aggregate(name: str, traces: list) -> SchemeStats:
         raise ValueError("curve aggregation requires completed trials")
     k = traces[0].k
     layer_sizes = np.array(traces[0].layer_sizes, dtype=np.float64)
-    n_layers = layer_sizes.size
     max_recv = max(t.received_total for t in traces)
-    sums = np.zeros((max_recv + 1, n_layers))
+    sums = np.zeros((max_recv + 1, layer_sizes.size))
+    sums[0] = len(traces) * layer_sizes
     for t in traces:
-        u = t.undecoded.astype(np.float64)
-        sums[0] += layer_sizes
-        sums[1 : t.received_total + 1] += u
         # completed trials stay fully decoded beyond their last reception
-    mean_layers = sums / (len(traces) * layer_sizes)
-    mean_total = sums.sum(axis=1) / (len(traces) * k)
+        sums[1 : t.received_total + 1] += t.undecoded
     return SchemeStats(
         name=name,
-        mean_undecoded_frac=mean_total,
-        mean_layer_undecoded_frac=mean_layers,
+        mean_undecoded_frac=sums.sum(axis=1) / (len(traces) * k),
+        mean_layer_undecoded_frac=sums / (len(traces) * layer_sizes),
         overheads=np.array([t.overhead for t in traces], dtype=np.float64),
         completion_received=np.array([t.completion_received for t in traces], dtype=np.int64),
         layer_completion_received=np.array(
@@ -314,11 +312,31 @@ def _aggregate(name: str, traces: list) -> SchemeStats:
     )
 
 
-def _run_batch(configs: list, workers: int) -> list:
-    if workers <= 1 or len(configs) < 2:
-        return [run_trial(c) for c in configs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, configs, chunksize=max(1, len(configs) // (4 * workers))))
+def _run_batch(groups: list, workers: int, reduce):
+    """Run every (key, configs) group's trials in order and yield (key,
+    reduce(key, traces)) per group, freeing its traces before the next group
+    is collected.  One pool serves the whole batch; none for one worker."""
+    configs = [c for _, group in groups for c in group]
+    pool, traces = None, map(run_trial, configs)
+    try:
+        if workers > 1 and len(configs) > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # chunks no longer than the shortest group: no worker holds more traces than the caller
+            chunksize = min(len(configs) // (4 * workers), *(len(group) for _, group in groups))
+            traces = pool.map(run_trial, configs, chunksize=max(1, chunksize))
+        for key, group in groups:
+            yield key, reduce(key, list(islice(traces, len(group))))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _select(catalog: dict, schemes) -> list:
+    """(catalogue position, name, entry) of each scheme; the position keys its seeds."""
+    unknown = [name for name in schemes if name not in catalog]
+    if unknown:
+        raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(catalog)}")
+    return [(list(catalog).index(name), name, catalog[name]) for name in schemes]
 
 
 @dataclass
@@ -349,16 +367,12 @@ def experiment_single_layer_feedback(
 ) -> SingleLayerExperiment:
     """Compare no feedback, per-symbol ack with the stock distribution, and
     per-symbol ack with the adaptive distribution, on one block size."""
-    results = {}
-    for si, (name, policy) in enumerate(single_layer_policies().items()):
-        configs = [
-            TrialConfig(
-                k=k, seed=(seed, si, t), payload_width=payload_width, c=c, delta=delta,
-                policy=policy, ser=ser,
-            )
-            for t in range(runs)
-        ]
-        results[name] = _aggregate(name, _run_batch(configs, workers))
+    groups = [
+        (name, [TrialConfig(k=k, seed=(seed, si, t), payload_width=payload_width, c=c,
+                            delta=delta, policy=policy, ser=ser) for t in range(runs)])
+        for si, (name, policy) in enumerate(single_layer_policies().items())
+    ]
+    results = dict(_run_batch(groups, workers, _aggregate))
     return SingleLayerExperiment(k=k, runs=runs, seed=seed, schemes=results)
 
 
@@ -400,18 +414,13 @@ def experiment_two_layer_ack(
         "two_layer_layer_ack": (layers, FeedbackPolicy.layer_ack()),
         "single_layer": (None, FeedbackPolicy.none()),
     }
-    results = {}
-    for name in schemes:
-        layer_cfg, policy = catalog[name]
-        si = list(catalog).index(name)
-        configs = [
-            TrialConfig(
-                k=k, seed=(seed, si, t), payload_width=payload_width, c=c, delta=delta,
-                layers=layer_cfg, policy=policy, ser=ser,
-            )
-            for t in range(runs)
-        ]
-        results[name] = _aggregate(name, _run_batch(configs, workers))
+    groups = [
+        (name, [TrialConfig(k=k, seed=(seed, si, t), payload_width=payload_width, c=c,
+                            delta=delta, layers=layer_cfg, policy=policy, ser=ser)
+                for t in range(runs)])
+        for si, name, (layer_cfg, policy) in _select(catalog, schemes)
+    ]
+    results = dict(_run_batch(groups, workers, _aggregate))
     return TwoLayerExperiment(k=k, alpha=alpha, beta=beta, runs=runs, seed=seed, schemes=results)
 
 
@@ -444,7 +453,10 @@ def experiment_deadline_distortion(
     schemes: tuple = ("single_layer", "two_layer_no_ack", "two_layer_layer_ack"),
 ) -> DistortionExperiment:
     """Mean distortion of each scheme per erasure rate, each second of
-    source being one deadline-limited block transmission."""
+    source being one deadline-limited block transmission.
+
+    Trial t at grid point gi draws from (seed, scheme index, gi, t), so an
+    erasure rate rerun on a different grid draws different trials."""
     if model is None:
         model = RateDistortionModel(alpha=alpha)
     layers = two_layer_config(k, alpha, beta)
@@ -455,30 +467,25 @@ def experiment_deadline_distortion(
         "two_layer_no_ack": (layers, FeedbackPolicy.none()),
         "two_layer_layer_ack": (layers, FeedbackPolicy.layer_ack()),
     }
-    means = {}
-    per_trial = {}
+    groups = [
+        ((name, gi), [TrialConfig(k=k, seed=(seed, si, gi, t), payload_width=payload_width,
+                                  c=c, delta=delta, layers=layer_cfg, policy=policy,
+                                  ser=float(ser), deadline=deadline, deadline_basis=deadline_basis)
+                      for t in range(seconds)])
+        for si, name, (layer_cfg, policy) in _select(catalog, schemes)
+        for gi, ser in enumerate(grid)
+    ]
+    reduce = lambda key, traces: (
+        [distortion_of_trace(t, model) for t in traces], sum(t.payload_errors for t in traces))
+    per_trial = {name: np.empty((grid.size, seconds)) for name in schemes}
     errors = 0
-    for name in schemes:
-        layer_cfg, policy = catalog[name]
-        si = list(catalog).index(name)
-        d = np.empty((grid.size, seconds))
-        for gi, ser in enumerate(grid):
-            configs = [
-                TrialConfig(
-                    k=k, seed=(seed, si, gi, t), payload_width=payload_width,
-                    c=c, delta=delta, layers=layer_cfg, policy=policy,
-                    ser=float(ser), deadline=deadline, deadline_basis=deadline_basis,
-                )
-                for t in range(seconds)
-            ]
-            traces = _run_batch(configs, workers)
-            errors += sum(t.payload_errors for t in traces)
-            d[gi] = [distortion_of_trace(t, model) for t in traces]
-        means[name] = d.mean(axis=1)
-        per_trial[name] = d
+    for (name, gi), (distortions, trial_errors) in _run_batch(groups, workers, reduce):
+        per_trial[name][gi] = distortions
+        errors += trial_errors
     return DistortionExperiment(
         k=k, alpha=alpha, beta=beta, ser_grid=grid, seconds=seconds, seed=seed,
-        mean_distortion=means, per_trial=per_trial, payload_errors=errors,
+        mean_distortion={name: d.mean(axis=1) for name, d in per_trial.items()},
+        per_trial=per_trial, payload_errors=errors,
     )
 
 

@@ -1,7 +1,14 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run and leave no example
+# database behind
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 _ACCEPTANCE_REPORTS = []
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -122,6 +123,18 @@ class TestAnalyzeCommands:
         assert sum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-8)
 
 
+# SHA-256 of the CSVs of small fixed-seed runs, the same for any worker
+# count.  A change to what a trial draws changes them; nothing else may.
+SIMULATE_CHECKSUMS = {
+    "single": (["--k", "40", "--runs", "4", "--seed", "5"],
+               "b6664317b72b2f319d6dc1898d9e3d718f39f71491364418496d4207e4163280"),
+    "two-layer": (["--k", "40", "--runs", "4", "--seed", "5"],
+                  "24bb728658d556f819e4c4762f5e0336007352c101d3751c0fac1b019e406d61"),
+    "distortion": (["--k", "40", "--ser", "0:0.25:1", "--seconds", "3", "--seed", "5"],
+                   "bd99c2c3b341992fd1ef18338a196ed76685c82992faff9b158b4749afb91586"),
+}
+
+
 class TestSimulateCommands:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "single", "--k", "60", "--runs", "5", "--seed", "7",
@@ -178,6 +191,15 @@ class TestSimulateCommands:
         assert main(["simulate", "single", "--k", "50", "--runs", "3", "--seed", "1",
                      "--threads", "1", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", sorted(SIMULATE_CHECKSUMS))
+    def test_output_checksum(self, tmp_path, command, threads):
+        args, digest = SIMULATE_CHECKSUMS[command]
+        out = tmp_path / "out.csv"
+        assert main(["simulate", command, *args, "--threads", threads,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestFailureModes:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltfeedback.codec import Decoder, Encoder, InputBlock, OutputSymbol
 from ltfeedback.degree import (
@@ -238,3 +240,35 @@ class TestDecoder:
             dec.receive(enc.encode_next())
             for i, payload in dec.decoded_payloads().items():
                 assert payload == block.symbols[i]
+
+
+@st.composite
+def blocks_and_streams(draw):
+    """A source block, a set of distinct output symbols over it, and a stream
+    that sends them in any order, each any number of times (or never)."""
+    k = draw(st.integers(1, 24))
+    width = draw(st.integers(1, 3))
+    block = InputBlock(draw(st.lists(st.binary(min_size=width, max_size=width),
+                                     min_size=k, max_size=k)))
+    neighbor_sets = draw(st.lists(st.frozensets(st.integers(0, k - 1), min_size=1),
+                                  max_size=3 * k))
+    stream = draw(st.lists(st.integers(0, len(neighbor_sets) - 1), max_size=6 * k)
+                  if neighbor_sets else st.just([]))
+    return block, [neighbor_sets[i] for i in stream]
+
+
+class TestDecoderProperties:
+    @given(blocks_and_streams())
+    def test_never_yields_a_wrong_payload(self, case):
+        block, stream = case
+        dec = Decoder(block.k, block.width)
+        for seq, neighbors in enumerate(stream):
+            dec.receive(OutputSymbol(neighbors, xor_of(block, neighbors), seq))
+            for i, payload in dec.decoded_payloads().items():
+                assert payload == block.symbols[i]
+            assert sum(dec.undecoded_per_layer) == block.k - dec.decoded_count
+        # every input sent on its own finishes the decode, correctly
+        for i in range(block.k):
+            dec.receive(OutputSymbol(frozenset({i}), block.symbols[i], len(stream) + i))
+        assert dec.is_complete
+        assert dec.decoded_payloads() == dict(enumerate(block.symbols))

@@ -92,6 +92,23 @@ class TestRobustSoliton:
         with pytest.raises(ValueError):
             RsdParams(4, 10.0, 0.5)
 
+    def test_cache_is_capped_and_holds_every_size_up_to_k_1000(self):
+        # per-symbol acks with the stock distribution rebuild the soliton at
+        # every size from k down to 1
+        bound = robust_soliton.cache_info().maxsize
+        assert bound == 1024
+        sizes = range(1000, 0, -1)
+        for n in sizes:
+            robust_soliton(RsdParams(n, 0.0731, 1.0))
+        hits = robust_soliton.cache_info().hits
+        for n in sizes:
+            robust_soliton(RsdParams(n, 0.0731, 1.0))
+        assert robust_soliton.cache_info().hits == hits + len(sizes)
+        for n in range(1, 2 * bound):
+            robust_soliton(RsdParams(n, 0.0732, 1.0))
+            assert robust_soliton.cache_info().currsize <= bound
+        assert robust_soliton.cache_info().currsize == bound
+
     def test_ideal_soliton_shape(self):
         dist = ideal_soliton(5)
         assert dist.pmf[1] == pytest.approx(1 / 5)

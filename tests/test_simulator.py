@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ltfeedback import simulator
 from ltfeedback.codec import Encoder, InputBlock
 from ltfeedback.degree import RsdParams, reduced_degree_dist, robust_soliton
 from ltfeedback.feedback import DistributionMode, FeedbackPolicy
@@ -213,6 +214,23 @@ class TestTwoLayerExperiment:
         with pytest.raises(ValueError):
             experiment_two_layer_ack(k=100, alpha=1.0, beta=9.0, runs=1, seed=0)
 
+    @pytest.mark.parametrize("schemes", [("two_layer_noack",), ("single_layer", "bogus")])
+    def test_unknown_scheme_rejected_before_any_trial(self, monkeypatch, schemes):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        with pytest.raises(ValueError, match="two_layer_layer_ack"):
+            experiment_two_layer_ack(k=40, alpha=0.5, beta=9.0, runs=2, seed=0,
+                                     schemes=schemes)
+
+    def test_parallel_equals_serial(self):
+        a, b = (experiment_two_layer_ack(k=50, alpha=0.5, beta=9.0, runs=4, seed=17,
+                                         ser=0.2, workers=w) for w in (1, 2))
+        assert list(a.schemes) == list(b.schemes)
+        for name in a.schemes:
+            sa, sb = a.schemes[name], b.schemes[name]
+            assert np.array_equal(sa.overheads, sb.overheads)
+            assert np.array_equal(sa.mean_layer_undecoded_frac, sb.mean_layer_undecoded_frac)
+            assert np.array_equal(sa.layer_completion_received, sb.layer_completion_received)
+
 
 class TestDistortionExperiment:
     def test_full_erasure_gives_unit_distortion(self):
@@ -248,6 +266,51 @@ class TestDistortionExperiment:
         single = result.mean_distortion["single_layer"]
         acked = result.mean_distortion["two_layer_layer_ack"]
         assert (acked < single - 0.01).all(), (acked, single)
+
+    @pytest.mark.parametrize("schemes", [("two_layer_noack",), ("single_layer", "bogus")])
+    def test_unknown_scheme_rejected_before_any_trial(self, monkeypatch, schemes):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        with pytest.raises(ValueError, match="two_layer_layer_ack"):
+            experiment_deadline_distortion(k=40, alpha=0.5, beta=9.0, ser_grid=[0.2],
+                                           seconds=2, seed=0, schemes=schemes)
+
+    def test_parallel_equals_serial(self):
+        a, b = (experiment_deadline_distortion(k=40, alpha=0.5, beta=9.0,
+                                               ser_grid=[0.0, 0.3, 0.6], seconds=4,
+                                               seed=19, workers=w) for w in (1, 2))
+        assert list(a.per_trial) == list(b.per_trial)
+        for name in a.per_trial:
+            assert np.array_equal(a.per_trial[name], b.per_trial[name])
+        assert a.payload_errors == b.payload_errors == 0
+
+
+def trial_forbidden(config, rng=None):
+    raise AssertionError("a trial ran before the scheme names were checked")
+
+
+EXPERIMENTS = {
+    "single": lambda workers: experiment_single_layer_feedback(
+        k=30, runs=2, seed=1, workers=workers),
+    "two-layer": lambda workers: experiment_two_layer_ack(
+        k=30, alpha=0.5, beta=9.0, runs=2, seed=1, workers=workers),
+    "distortion": lambda workers: experiment_deadline_distortion(
+        k=30, alpha=0.5, beta=9.0, ser_grid=[0.0, 0.5], seconds=2, seed=1, workers=workers),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+def test_one_process_pool_per_experiment(monkeypatch, experiment, workers, pools):
+    created = []
+
+    class CountingPool(simulator.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    EXPERIMENTS[experiment](workers)
+    assert len(created) == pools
 
 
 class TestFormatting:
