@@ -21,8 +21,6 @@ from .degree import (
     reduced_degree_dist_acked,
     redundancy_prob_acked,
     robust_soliton,
-    sample_degree,
-    sample_degrees,
     two_layer_reduced_dist,
 )
 from .codec import Decoder, DecoderSnapshot, Encoder, InputBlock, OutputSymbol, ReceiveResult
@@ -50,8 +48,6 @@ __all__ = [
     "LayerConfig",
     "ideal_soliton",
     "robust_soliton",
-    "sample_degree",
-    "sample_degrees",
     "reduced_degree_dist",
     "redundancy_prob_acked",
     "reduced_degree_dist_acked",

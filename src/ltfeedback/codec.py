@@ -6,17 +6,22 @@ decoder strips arriving symbols of already-decoded neighbors, keeps a
 FIFO ripple of degree-one symbols, and peels: processing a ripple symbol
 decodes one input, which reduces buffered symbols and may release more
 into the ripple.  Both sides are single-owner sequential state machines.
+
+The encoder reads three substreams of its generator: degree uniforms,
+layer-group uniforms and 64-bit index words.  Each is drawn in blocks, and
+the i-th value read equals the i-th scalar draw from that substream, so
+acknowledgments never force a refill.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .degree import DegreeDistribution, LayerConfig, sample_degree
+from .degree import DegreeDistribution, LayerConfig
 
 __all__ = [
     "InputBlock",
@@ -25,7 +30,46 @@ __all__ = [
     "Decoder",
     "DecoderSnapshot",
     "ReceiveResult",
+    "uniform_stream",
+    "word_stream",
+    "lemire_index",
 ]
+
+_BLOCK = 256  # values drawn per numpy call
+_TWO64 = 1 << 64
+_MASK = _TWO64 - 1
+
+
+def _blockwise(draw):
+    """The values of draw(1), draw(1), ..., one at a time, _BLOCK per call."""
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
+def uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
+    """Next-value function over rng.random(): uniforms in [0, 1)."""
+    return _blockwise(rng.random).__next__
+
+
+def word_stream(rng: np.random.Generator) -> Callable[[], int]:
+    """Next-value function over 64-bit words of rng: the raw output of a
+    64-bit bit generator such as PCG64; MT19937's raw words have 32 bits,
+    so there two are joined into one."""
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        return _blockwise(lambda n: rng.integers(0, _TWO64, size=n, dtype=np.uint64)).__next__
+    return _blockwise(rng.bit_generator.random_raw).__next__
+
+
+def lemire_index(bound: int, word: Callable[[], int]) -> int:
+    """An index exactly uniform in [0, bound), 1 <= bound < 2^64, by Lemire's
+    nearly divisionless method: the high word of word() * bound, rejecting
+    the 2^64 mod bound low words that would bias it."""
+    m = word() * bound
+    if m & _MASK < bound:
+        threshold = _TWO64 % bound
+        while m & _MASK < threshold:
+            m = word() * bound
+    return m >> 64
 
 
 class InputBlock:
@@ -90,8 +134,9 @@ class _Group:
 class Encoder:
     """Rateless encoder over the not-yet-acknowledged part of a block.
 
-    `dist_builder`, when given, maps an eligible-set size to a fresh
-    distribution; feedback policies use it to re-parameterize after
+    The degree, layer-group and index substreams are spawned from `rng`, in
+    that order.  `dist_builder`, when given, maps an eligible-set size to a
+    fresh distribution; feedback policies use it to re-parameterize after
     acknowledgments.
     """
 
@@ -100,6 +145,10 @@ class Encoder:
                  dist_builder: Optional[Callable[[int], DegreeDistribution]] = None):
         self.block = block
         self.rng = rng
+        degrees, groups, indices = rng.spawn(3)
+        self._degree_u = uniform_stream(degrees)
+        self._group_u = uniform_stream(groups)
+        self._word = word_stream(indices)
         self.dist_builder = dist_builder
         self._payloads = block.payload_ints()
         self._acked: set[int] = set()
@@ -136,7 +185,7 @@ class Encoder:
 
     @property
     def eligible_count(self) -> int:
-        return sum(g.count for g in self._groups)
+        return self._eligible
 
     def _rebuild_groups(self):
         layers = self.block.layers
@@ -156,6 +205,7 @@ class Encoder:
         if len(groups) == 1:
             groups[0].weight = 1.0
         self._groups = groups
+        self._eligible = sum(g.count for g in groups)
 
     def ack_indices(self, decoded):
         """Exclude the given input indices from all future symbols."""
@@ -179,40 +229,45 @@ class Encoder:
 
     def _draw_neighbors(self, degree: int) -> list[int]:
         groups = self._groups
-        rng = self.rng
+        word = self._word
         if len(groups) == 1:
             g = groups[0]
             members, n = g.members, g.count
             for t in range(degree):
-                j = int(rng.integers(0, n - t))
+                j = lemire_index(n - t, word)
                 members[j], members[n - t - 1] = members[n - t - 1], members[j]
             return members[n - degree:n]
+        group_u = self._group_u
+        weights = [g.weight for g in groups]
+        pools = [g.members for g in groups]
         counts = [g.count for g in groups]
-        total = sum(g.weight * c for g, c in zip(groups, counts))
+        total = sum(w * c for w, c in zip(weights, counts))
+        last_group = len(groups) - 1
         chosen = []
         for _ in range(degree):
-            u = rng.random() * total
+            u = group_u() * total
             gi = 0
-            acc = groups[0].weight * counts[0]
-            while u >= acc and gi + 1 < len(groups):
+            acc = weights[0] * counts[0]
+            while u >= acc and gi < last_group:
                 gi += 1
-                acc += groups[gi].weight * counts[gi]
-            g = groups[gi]
-            j = int(rng.integers(0, counts[gi]))
+                acc += weights[gi] * counts[gi]
+            members = pools[gi]
             last = counts[gi] - 1
-            g.members[j], g.members[last] = g.members[last], g.members[j]
-            chosen.append(g.members[last])
+            j = lemire_index(last + 1, word)
+            members[j], members[last] = members[last], members[j]
+            chosen.append(members[last])
             counts[gi] = last
-            total -= g.weight
+            total -= weights[gi]
         return chosen
 
     def encode_next(self) -> OutputSymbol:
         """Emit the next output symbol; degree draws above the eligible-set
         size are clamped to it."""
-        m = self.eligible_count
+        m = self._eligible
         if m == 0:
             raise RuntimeError("no eligible input symbols remain")
-        degree = min(sample_degree(self._distribution, self.rng), m)
+        dist = self._distribution
+        degree = min(int(dist.cdf.searchsorted(self._degree_u(), side="right")), dist.k, m)
         neighbors = self._draw_neighbors(degree)
         value = 0
         for i in neighbors:
@@ -251,7 +306,7 @@ class Decoder:
         self.layers = layers
         self._decoded: dict[int, int] = {}
         self._entries: dict[int, list] = {}  # id -> [neighbor set, payload int]
-        self._by_index: dict[int, set] = {}
+        self._by_index: defaultdict[int, set] = defaultdict(set)
         self._ripple: deque = deque()
         self._next_id = 0
         self.redundant_count = 0
@@ -314,15 +369,14 @@ class Decoder:
         neighbors = set(sym.neighbors)
         if not neighbors:
             raise ValueError("output symbol must have at least one neighbor")
-        if not all(0 <= v < self.k for v in neighbors):
+        if min(neighbors) < 0 or max(neighbors) >= self.k:
             raise ValueError("symbol references indices outside the block")
         value = int.from_bytes(sym.payload, "big")
         decoded = self._decoded
-        for v in tuple(neighbors):
-            dv = decoded.get(v)
-            if dv is not None:
-                value ^= dv
-                neighbors.discard(v)
+        known = decoded.keys() & neighbors
+        for v in known:
+            value ^= decoded[v]
+        neighbors -= known
         reduced = len(neighbors)
         if reduced == 0:
             self.redundant_count += 1
@@ -330,8 +384,9 @@ class Decoder:
         sid = self._next_id
         self._next_id += 1
         self._entries[sid] = [neighbors, value]
+        by_index = self._by_index
         for v in neighbors:
-            self._by_index.setdefault(v, set()).add(sid)
+            by_index[v].add(sid)
         if reduced == 1:
             self._ripple.append(sid)
         newly = self._drain()

@@ -50,8 +50,6 @@ __all__ = [
     "LayerConfig",
     "ideal_soliton",
     "robust_soliton",
-    "sample_degree",
-    "sample_degrees",
     "reduced_degree_dist",
     "redundancy_prob_acked",
     "reduced_degree_dist_acked",
@@ -157,18 +155,6 @@ def robust_soliton(params: RsdParams) -> DegreeDistribution:
         if spike <= k:
             raw[spike] += s * math.log(s / delta) / k
     return DegreeDistribution(k, raw / raw.sum())
-
-
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """One inverse-CDF draw from the distribution's cached cumulative table."""
-    idx = int(np.searchsorted(dist.cdf, rng.random(), side="right"))
-    return min(idx, dist.k)
-
-
-def sample_degrees(dist: DegreeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized counterpart of sample_degree."""
-    idx = np.searchsorted(dist.cdf, rng.random(size), side="right")
-    return np.minimum(idx, dist.k)
 
 
 def _thin_step(row: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -5,11 +5,13 @@ the peeling decoder, applying the feedback policy before every encoded
 symbol, and records the per-layer undecoded counts at every reception.
 Experiment drivers average many independent trials: the single-layer
 feedback comparison, the two-layer layer-acknowledgment comparison, and
-the deadline-limited distortion sweep over erasure rates.  Per-trial
-random streams derive deterministically from (master seed, scheme index,
-trial index), with the grid index before the trial in the sweep, so
-aggregates do not depend on execution order.  Each experiment runs all
-its trials as one batch, in one process pool when it has workers.
+the deadline-limited distortion sweep over erasure rates.  Trial t of a
+scheme at erasure rate ser draws from SeedSequence(master seed,
+spawn_key=(scheme id, round(ser * 10^6), t)), so aggregates depend neither
+on execution order nor on the catalogue or grid a trial runs in.  The
+trial's sequence spawns one substream each for the source block, the
+encoder (which spawns its own three) and the channel.  Each experiment
+runs all its trials as one batch, in one process pool when it has workers.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ import numpy as np
 import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every forked worker
 
 from . import __version__
-from .codec import Decoder, Encoder, InputBlock
+from .codec import Decoder, Encoder, InputBlock, uniform_stream
 from .degree import LayerConfig, RsdParams, robust_soliton
 from .feedback import DistributionMode, FeedbackPolicy, apply_feedback
 
 __all__ = [
+    "SCHEME_IDS",
     "ChannelParams",
     "TrialConfig",
     "TransmissionTrace",
@@ -54,6 +57,17 @@ __all__ = [
 
 _SAFETY_CAP = 10_000_000  # sent-symbol bound against runaway trials
 
+# Fixed per name: a scheme's trials draw the same streams whichever
+# catalogue lists it, in whatever order, and whichever experiment runs it.
+SCHEME_IDS = {
+    "no_feedback": 0,
+    "ack_original": 1,
+    "ack_adaptive": 2,
+    "single_layer": 3,
+    "two_layer_no_ack": 4,
+    "two_layer_layer_ack": 5,
+}
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -68,7 +82,8 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one transmission trial needs."""
+    """Everything one transmission trial needs.  `seed` is a master seed or a
+    tuple (master seed, *spawn key)."""
 
     k: int
     seed: object = 0
@@ -138,22 +153,32 @@ class TransmissionTrace:
 
 
 def trial_rng(master_seed, *key) -> np.random.Generator:
-    """Deterministic per-trial stream from the master seed and an index key."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed,) + tuple(key)))
+    """Deterministic per-trial stream from the master seed and a spawn key.
+    Keys that differ in length give different streams, trailing zeros too."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+
+
+def _point_key(ser: float) -> int:
+    """Seed key of an erasure rate: the same rate on any grid draws the same trials."""
+    return round(ser * 10**6)
 
 
 def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) -> TransmissionTrace:
     """Run one transmission until full decode, the deadline, or the safety cap.
 
     The feedback policy is applied before every encoded symbol (ideal,
-    zero-latency feedback).  Every decoded payload is checked against the
-    source block before returning.
+    zero-latency feedback).  The source block, the encoder and the channel
+    draw from substreams spawned from `rng`, in that order.  Every decoded
+    payload is checked against the source block before returning.
     """
     if rng is None:
-        rng = trial_rng(config.seed)
-    block = InputBlock.random(config.k, config.payload_width, rng, config.layers)
+        seed = config.seed
+        rng = trial_rng(*seed) if isinstance(seed, tuple) else trial_rng(seed)
+    source, coder, channel = rng.spawn(3)
+    block = InputBlock.random(config.k, config.payload_width, source, config.layers)
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
-    encoder = Encoder(block, builder(config.k), rng, dist_builder=builder)
+    encoder = Encoder(block, builder(config.k), coder, dist_builder=builder)
+    erasure_u = uniform_stream(channel)
     decoder = Decoder(config.k, config.payload_width, config.layers)
     n_layers = 1 if config.layers is None else config.layers.n_layers
 
@@ -180,7 +205,7 @@ def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) ->
         apply_feedback(encoder, decoder.snapshot(), policy)
         sym = encoder.encode_next()
         sent += 1
-        if ser > 0.0 and rng.random() < ser:
+        if ser > 0.0 and erasure_u() < ser:
             continue
         result = decoder.receive(sym)
         received += 1
@@ -332,11 +357,14 @@ def _run_batch(groups: list, workers: int, reduce):
 
 
 def _select(catalog: dict, schemes) -> list:
-    """(catalogue position, name, entry) of each scheme; the position keys its seeds."""
+    """(scheme id, name, entry) of each scheme; the id keys its seeds."""
     unknown = [name for name in schemes if name not in catalog]
     if unknown:
         raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(catalog)}")
-    return [(list(catalog).index(name), name, catalog[name]) for name in schemes]
+    repeated = sorted({name for name in schemes if schemes.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scheme(s) {repeated} named more than once")
+    return [(SCHEME_IDS[name], name, catalog[name]) for name in schemes]
 
 
 @dataclass
@@ -368,9 +396,10 @@ def experiment_single_layer_feedback(
     """Compare no feedback, per-symbol ack with the stock distribution, and
     per-symbol ack with the adaptive distribution, on one block size."""
     groups = [
-        (name, [TrialConfig(k=k, seed=(seed, si, t), payload_width=payload_width, c=c,
-                            delta=delta, policy=policy, ser=ser) for t in range(runs)])
-        for si, (name, policy) in enumerate(single_layer_policies().items())
+        (name, [TrialConfig(k=k, seed=(seed, SCHEME_IDS[name], _point_key(ser), t),
+                            payload_width=payload_width, c=c, delta=delta, policy=policy, ser=ser)
+                for t in range(runs)])
+        for name, policy in single_layer_policies().items()
     ]
     results = dict(_run_batch(groups, workers, _aggregate))
     return SingleLayerExperiment(k=k, runs=runs, seed=seed, schemes=results)
@@ -415,8 +444,9 @@ def experiment_two_layer_ack(
         "single_layer": (None, FeedbackPolicy.none()),
     }
     groups = [
-        (name, [TrialConfig(k=k, seed=(seed, si, t), payload_width=payload_width, c=c,
-                            delta=delta, layers=layer_cfg, policy=policy, ser=ser)
+        (name, [TrialConfig(k=k, seed=(seed, si, _point_key(ser), t),
+                            payload_width=payload_width, c=c, delta=delta, layers=layer_cfg,
+                            policy=policy, ser=ser)
                 for t in range(runs)])
         for si, name, (layer_cfg, policy) in _select(catalog, schemes)
     ]
@@ -455,8 +485,8 @@ def experiment_deadline_distortion(
     """Mean distortion of each scheme per erasure rate, each second of
     source being one deadline-limited block transmission.
 
-    Trial t at grid point gi draws from (seed, scheme index, gi, t), so an
-    erasure rate rerun on a different grid draws different trials."""
+    Trials are keyed on the erasure rate itself, so one point of a sweep
+    rerun on its own, or on another grid, draws the same trials."""
     if model is None:
         model = RateDistortionModel(alpha=alpha)
     layers = two_layer_config(k, alpha, beta)
@@ -468,7 +498,8 @@ def experiment_deadline_distortion(
         "two_layer_layer_ack": (layers, FeedbackPolicy.layer_ack()),
     }
     groups = [
-        ((name, gi), [TrialConfig(k=k, seed=(seed, si, gi, t), payload_width=payload_width,
+        ((name, gi), [TrialConfig(k=k, seed=(seed, si, _point_key(ser), t),
+                                  payload_width=payload_width,
                                   c=c, delta=delta, layers=layer_cfg, policy=policy,
                                   ser=float(ser), deadline=deadline, deadline_basis=deadline_basis)
                       for t in range(seconds)])

@@ -14,6 +14,12 @@ quadrature, which shares nothing with the library's draw-by-draw table;
 by degree, as an independent route to the library's tensor contraction.
 The central hypergeometric pmf and the item-level weighted sampler are
 test fixtures that the library itself never needed.
+
+`scalar_run_trial` is the transmission loop written with one numpy call
+per value: it reads the same substreams as `run_trial`, one uniform or one
+64-bit word per call, keeps its own encoder state and decodes by naive
+repeated peeling, so it pins the library's block draws, Lemire index draw
+and bookkeeping to the streams they must reproduce.
 """
 
 from functools import lru_cache
@@ -23,6 +29,16 @@ import numpy as np
 from scipy import integrate, optimize, stats
 
 from ltfeedback.combinatorics import log_binomial
+from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
+from ltfeedback.feedback import DistributionMode, FeedbackKind
+from ltfeedback.simulator import TransmissionTrace
+
+
+def sample_degrees(dist, rng, size):
+    """`size` inverse-CDF draws from a degree distribution, the degrees the
+    urn samplers below start from."""
+    idx = np.searchsorted(dist.cdf, rng.random(size), side="right")
+    return np.minimum(idx, dist.k)
 
 
 def uniform_strip_counts(degrees, eligible, undecoded, rng):
@@ -330,3 +346,159 @@ def two_layer_sum(pmf, layer_sizes, weights, undecoded_base, undecoded_refine):
         phi = np.array([wallenius_integral((j, i - j), (m_base, m_refine), ratio) for j in js])
         out += pmf[i] * (h_base[:, js] * phi) @ h_refine[:, i - js].T
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar transmission loop
+
+
+def lemire_scalar(bound, next_word):
+    """Lemire's nearly divisionless method ("Fast random integer generation
+    in an interval", ACM TOMACS 2019) on 64-bit words, written with % and //:
+    an index uniform in [0, bound)."""
+    m = next_word() * bound
+    low = m % 2**64
+    if low < bound:
+        threshold = (2**64 - bound) % bound
+        while low < threshold:
+            m = next_word() * bound
+            low = m % 2**64
+    return m // 2**64
+
+
+def _peel(decoded, pending):
+    """Decode every input that repeated degree-one resolution reaches."""
+    while True:
+        for eq in pending:
+            for v in eq[0] & decoded.keys():
+                eq[1] ^= decoded[v]
+            eq[0] -= decoded.keys()
+        pending[:] = [eq for eq in pending if eq[0]]
+        ready = [eq for eq in pending if len(eq[0]) == 1]
+        if not ready:
+            return
+        for (v,), value in ready:
+            decoded.setdefault(v, value)
+
+
+def scalar_run_trial(config):
+    """run_trial(config) with one numpy call per uniform and per index word."""
+    seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
+    root = np.random.SeedSequence(seed[0], spawn_key=seed[1:])
+    source_seq, coder_seq, channel_seq = root.spawn(3)
+    degree_rng, group_rng, index_rng = map(np.random.default_rng, coder_seq.spawn(3))
+    channel = np.random.default_rng(channel_seq)
+    next_word = index_rng.bit_generator.random_raw
+
+    k, width, policy = config.k, config.payload_width, config.policy
+    raw = np.random.default_rng(source_seq).bytes(k * width)
+    payloads = [int.from_bytes(raw[i * width:(i + 1) * width], "big") for i in range(k)]
+    if config.layers is None:
+        bounds, weights = (0, k), (1.0,)
+    else:
+        bounds, weights = config.layers.boundaries(), config.layers.weight_ratios
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
+    base = dist = builder(k)
+    acked, acked_layers = set(), set()
+
+    def eligible_groups():
+        groups = [[w, [i for i in range(lo, hi) if i not in acked]]
+                  for (lo, hi), w in zip(ranges, weights)]
+        groups = [g for g in groups if g[1]]
+        if len(groups) == 1:
+            groups[0][0] = 1.0
+        return groups
+
+    groups = eligible_groups()
+
+    def draw_neighbors(degree):
+        if len(groups) == 1:
+            members = groups[0][1]
+            n = len(members)
+            for t in range(degree):
+                j = lemire_scalar(n - t, next_word)
+                members[j], members[n - t - 1] = members[n - t - 1], members[j]
+            return members[n - degree:]
+        counts = [len(members) for _, members in groups]
+        total = sum(w * c for (w, _), c in zip(groups, counts))
+        chosen = []
+        for _ in range(degree):
+            u = group_rng.random() * total
+            gi, acc = 0, groups[0][0] * counts[0]
+            while u >= acc and gi + 1 < len(groups):
+                gi += 1
+                acc += groups[gi][0] * counts[gi]
+            weight, members = groups[gi]
+            j = lemire_scalar(counts[gi], next_word)
+            last = counts[gi] - 1
+            members[j], members[last] = members[last], members[j]
+            chosen.append(members[last])
+            counts[gi] = last
+            total -= weight
+        return chosen
+
+    decoded, pending = {}, []
+    undecoded = lambda: tuple(sum(i not in decoded for i in range(lo, hi)) for lo, hi in ranges)
+    sent = received = 0
+    rec_sent, rec_undecoded, rec_redundant = [], [], []
+    done_recv, done_sent = [None] * len(ranges), [None] * len(ranges)
+    completion = (None, None)
+    while len(decoded) < k:
+        if config.deadline is not None:
+            if (sent if config.deadline_basis == "sent" else received) >= config.deadline:
+                break
+        if policy.kind is FeedbackKind.PER_SYMBOL_ACK and len(decoded) != len(acked):
+            acked = set(decoded)
+            groups = eligible_groups()
+            if len(acked) < k:
+                dist = (adaptive_degree_dist(base, k - len(acked))
+                        if policy.distribution_mode is DistributionMode.ADAPTIVE
+                        else builder(k - len(acked)))
+        if policy.kind is FeedbackKind.LAYER_ACK:
+            for li, left in enumerate(undecoded()):
+                if left or li in acked_layers:
+                    continue
+                acked_layers.add(li)
+                acked |= set(range(*ranges[li]))
+                groups = eligible_groups()
+                if len(acked) < k and policy.reparameterize_after_layer_ack:
+                    dist = builder(k - len(acked))
+        eligible = sum(len(members) for _, members in groups)
+        u = degree_rng.random()
+        degree = min(int(np.searchsorted(dist.cdf, u, side="right")), dist.k, eligible)
+        neighbors = draw_neighbors(degree)
+        value = 0
+        for i in neighbors:
+            value ^= payloads[i]
+        sent += 1
+        if config.ser > 0.0 and channel.random() < config.ser:
+            continue
+        received += 1
+        unknown = set(neighbors) - decoded.keys()
+        rec_redundant.append(not unknown)
+        pending.append([set(neighbors), value])
+        _peel(decoded, pending)
+        rec_sent.append(sent)
+        rec_undecoded.append(undecoded())
+        for li, left in enumerate(rec_undecoded[-1]):
+            if left == 0 and done_recv[li] is None:
+                done_recv[li], done_sent[li] = received, sent
+        if len(decoded) == k:
+            completion = (sent, received)
+
+    return TransmissionTrace(
+        k=k,
+        layer_sizes=tuple(hi - lo for lo, hi in ranges),
+        sent=np.array(rec_sent, dtype=np.int64),
+        undecoded=np.array(rec_undecoded, dtype=np.int64).reshape(received, len(ranges)),
+        redundant=np.array(rec_redundant, dtype=bool),
+        sent_total=sent,
+        received_total=received,
+        completed=len(decoded) == k,
+        completion_sent=completion[0],
+        completion_received=completion[1],
+        layer_completion_received=tuple(done_recv),
+        layer_completion_sent=tuple(done_sent),
+        payload_errors=sum(payloads[i] != v for i, v in decoded.items()),
+    )

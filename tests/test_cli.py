@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 from ltfeedback.cli import main
-from ltfeedback.degree import (
-    RsdParams,
-    adaptive_degree_dist,
-    robust_soliton,
-    sample_degrees,
-)
-from oracles import weighted_strip_counts
+from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
+from oracles import sample_degrees, weighted_strip_counts
 
 
 def read_csv(path):
@@ -127,11 +122,11 @@ class TestAnalyzeCommands:
 # count.  A change to what a trial draws changes them; nothing else may.
 SIMULATE_CHECKSUMS = {
     "single": (["--k", "40", "--runs", "4", "--seed", "5"],
-               "b6664317b72b2f319d6dc1898d9e3d718f39f71491364418496d4207e4163280"),
+               "91769019d54a32d5b899d188318be18d7b94da28408e956f654b768c52702bcf"),
     "two-layer": (["--k", "40", "--runs", "4", "--seed", "5"],
-                  "24bb728658d556f819e4c4762f5e0336007352c101d3751c0fac1b019e406d61"),
+                  "a2c1ce1a34d485ff589bda8d1039318a36becba99e06c795f09689e480501048"),
     "distortion": (["--k", "40", "--ser", "0:0.25:1", "--seconds", "3", "--seed", "5"],
-                   "bd99c2c3b341992fd1ef18338a196ed76685c82992faff9b158b4749afb91586"),
+                   "3a0b6709e3b416eeae9a9f7aa9ad41c34c08e096feda2202a5aef2d2d50c513c"),
 }
 
 

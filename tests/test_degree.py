@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ltfeedback import degree
+from ltfeedback.codec import Encoder, InputBlock
 from ltfeedback.degree import (
     DegreeDistribution,
     LayerConfig,
@@ -17,14 +18,13 @@ from ltfeedback.degree import (
     reduced_degree_dist_acked,
     redundancy_prob_acked,
     robust_soliton,
-    sample_degree,
-    sample_degrees,
     two_layer_reduced_dist,
 )
 from oracles import (
     adaptive_closed_form,
     chi_square_pvalue,
     redundancy_closed_form,
+    sample_degrees,
     strip_mixture,
     tv_distance,
     two_layer_sum,
@@ -117,15 +117,20 @@ class TestRobustSoliton:
 
 
 class TestSampleDegree:
+    """The encoder's inverse-CDF degree draw, and the test-side sampler the
+    urn oracles start from."""
+
     def test_point_mass(self):
         dist = DegreeDistribution(5, [0, 0, 0, 1.0, 0, 0])
         rng = np.random.default_rng(0)
-        assert all(sample_degree(dist, rng) == 3 for _ in range(50))
+        enc = Encoder(InputBlock.random(5, 1, rng), dist, rng)
+        assert all(enc.encode_next().degree == 3 for _ in range(50))
 
     def test_two_point_symmetry(self):
         dist = DegreeDistribution(2, [0, 0.5, 0.5])
         rng = np.random.default_rng(1)
-        draws = sample_degrees(dist, rng, 100_000)
+        enc = Encoder(InputBlock.random(2, 1, rng), dist, rng)
+        draws = np.array([enc.encode_next().degree for _ in range(100_000)])
         p_hat = (draws == 1).mean()
         se = math.sqrt(0.25 / draws.size)
         assert abs(p_hat - 0.5) <= 3 * se

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltfeedback.codec import Decoder, DecoderSnapshot, Encoder, InputBlock
 from ltfeedback.degree import (
@@ -12,6 +14,7 @@ from ltfeedback.degree import (
 )
 from ltfeedback.feedback import (
     DistributionMode,
+    FeedbackKind,
     FeedbackPolicy,
     apply_feedback,
 )
@@ -193,3 +196,46 @@ class TestPolicyObjectsAreShareable:
             sym = enc.encode_next()
             outs.append((sym.neighbors, sym.payload))
         assert outs[0] == outs[1]
+
+
+ACK_POLICIES = [
+    FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL),
+    FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE),
+    FeedbackPolicy.layer_ack(),
+    FeedbackPolicy.layer_ack(reparameterize=False),
+]
+
+
+class TestAckProperties:
+    @given(k=st.integers(2, 40), base=st.integers(1, 39), beta=st.sampled_from([1.0, 3.0, 9.0]),
+           layered=st.booleans(), policy=st.sampled_from(ACK_POLICIES),
+           erasure=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_acknowledged_index_never_appears_later(self, k, base, beta, layered, policy,
+                                                    erasure, seed):
+        # what was acknowledged is read off the decoder, not the encoder
+        per_symbol = policy.kind is FeedbackKind.PER_SYMBOL_ACK
+        layers = None
+        if layered or not per_symbol:
+            base = min(base, k - 1)
+            layers = LayerConfig((base, k - base), (beta, 1.0))
+        rng = np.random.default_rng(seed)
+        enc = make_encoder(k, rng, layers)
+        dec = Decoder(k, 8, layers)
+        bounds = (0, k) if layers is None else layers.boundaries()
+        acked = set()
+        for _ in range(50 * k):
+            if dec.is_complete:
+                break
+            snapshot = dec.snapshot()
+            apply_feedback(enc, snapshot, policy)
+            if per_symbol:
+                acked |= snapshot.decoded
+            else:
+                for li, complete in enumerate(snapshot.layers_complete):
+                    if complete:
+                        acked |= set(range(bounds[li], bounds[li + 1]))
+            sym = enc.encode_next()
+            assert not (sym.neighbors & acked)
+            if rng.random() >= erasure:
+                dec.receive(sym)
+        assert dec.is_complete

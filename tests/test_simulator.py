@@ -221,6 +221,20 @@ class TestTwoLayerExperiment:
             experiment_two_layer_ack(k=40, alpha=0.5, beta=9.0, runs=2, seed=0,
                                      schemes=schemes)
 
+    def test_repeated_scheme_rejected_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        with pytest.raises(ValueError, match="more than once"):
+            experiment_two_layer_ack(k=40, alpha=0.5, beta=9.0, runs=2, seed=0,
+                                     schemes=("single_layer", "single_layer"))
+
+    def test_scheme_streams_do_not_depend_on_catalogue_order(self):
+        run = lambda schemes: experiment_two_layer_ack(
+            k=40, alpha=0.5, beta=9.0, runs=3, seed=14, schemes=schemes).schemes
+        alone = run(("two_layer_layer_ack",))
+        reordered = run(("single_layer", "two_layer_layer_ack", "two_layer_no_ack"))
+        assert np.array_equal(alone["two_layer_layer_ack"].overheads,
+                              reordered["two_layer_layer_ack"].overheads)
+
     def test_parallel_equals_serial(self):
         a, b = (experiment_two_layer_ack(k=50, alpha=0.5, beta=9.0, runs=4, seed=17,
                                          ser=0.2, workers=w) for w in (1, 2))
@@ -273,6 +287,23 @@ class TestDistortionExperiment:
         with pytest.raises(ValueError, match="two_layer_layer_ack"):
             experiment_deadline_distortion(k=40, alpha=0.5, beta=9.0, ser_grid=[0.2],
                                            seconds=2, seed=0, schemes=schemes)
+
+    def test_repeated_scheme_rejected_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        with pytest.raises(ValueError, match="more than once"):
+            experiment_deadline_distortion(k=40, alpha=0.5, beta=9.0, ser_grid=[0.2],
+                                           seconds=3, seed=0,
+                                           schemes=("single_layer", "single_layer"))
+
+    def test_point_rerun_alone_matches_its_sweep(self):
+        # trials are keyed on the erasure rate, not on its place in the grid
+        grid = np.round(np.arange(0.0, 1.0001, 0.05), 10)
+        run = lambda ser_grid: experiment_deadline_distortion(
+            k=40, alpha=0.5, beta=9.0, ser_grid=ser_grid, seconds=4, seed=9001).per_trial
+        alone, sweep = run([0.35]), run(grid)
+        assert grid[7] == 0.35
+        for name in alone:
+            assert np.array_equal(alone[name][0], sweep[name][7])
 
     def test_parallel_equals_serial(self):
         a, b = (experiment_deadline_distortion(k=40, alpha=0.5, beta=9.0,
