@@ -30,9 +30,6 @@ __all__ = [
     "Decoder",
     "DecoderSnapshot",
     "ReceiveResult",
-    "uniform_stream",
-    "word_stream",
-    "lemire_index",
 ]
 
 _BLOCK = 256  # values drawn per numpy call
@@ -46,21 +43,17 @@ def _blockwise(draw):
         yield from draw(_BLOCK).tolist()
 
 
-def uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
+def _uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
     """Next-value function over rng.random(): uniforms in [0, 1)."""
     return _blockwise(rng.random).__next__
 
 
-def word_stream(rng: np.random.Generator) -> Callable[[], int]:
-    """Next-value function over 64-bit words of rng: the raw output of a
-    64-bit bit generator such as PCG64; MT19937's raw words have 32 bits,
-    so there two are joined into one."""
-    if isinstance(rng.bit_generator, np.random.MT19937):
-        return _blockwise(lambda n: rng.integers(0, _TWO64, size=n, dtype=np.uint64)).__next__
+def _word_stream(rng: np.random.Generator) -> Callable[[], int]:
+    """Next-value function over the raw 64-bit words of a PCG64 generator."""
     return _blockwise(rng.bit_generator.random_raw).__next__
 
 
-def lemire_index(bound: int, word: Callable[[], int]) -> int:
+def _lemire_index(bound: int, word: Callable[[], int]) -> int:
     """An index exactly uniform in [0, bound), 1 <= bound < 2^64, by Lemire's
     nearly divisionless method: the high word of word() * bound, rejecting
     the 2^64 mod bound low words that would bias it."""
@@ -134,21 +127,23 @@ class _Group:
 class Encoder:
     """Rateless encoder over the not-yet-acknowledged part of a block.
 
-    The degree, layer-group and index substreams are spawned from `rng`, in
-    that order.  `dist_builder`, when given, maps an eligible-set size to a
-    fresh distribution; feedback policies use it to re-parameterize after
-    acknowledgments.
+    The degree, layer-group and index substreams are PCG64 generators on
+    children of `rng`'s seed sequence, spawned in that order; for a PCG64
+    `rng` they equal `rng.spawn(3)`.  `dist_builder`, when given, maps an
+    eligible-set size to a fresh distribution; feedback policies use it to
+    re-parameterize after acknowledgments.
     """
 
     def __init__(self, block: InputBlock, distribution: DegreeDistribution,
                  rng: np.random.Generator,
                  dist_builder: Optional[Callable[[int], DegreeDistribution]] = None):
         self.block = block
-        self.rng = rng
-        degrees, groups, indices = rng.spawn(3)
-        self._degree_u = uniform_stream(degrees)
-        self._group_u = uniform_stream(groups)
-        self._word = word_stream(indices)
+        # PCG64 whatever rng's bit generator is: every raw word has 64 bits
+        children = rng.bit_generator.seed_seq.spawn(3)
+        degrees, groups, indices = map(np.random.default_rng, children)
+        self._degree_u = _uniform_stream(degrees)
+        self._group_u = _uniform_stream(groups)
+        self._word = _word_stream(indices)
         self.dist_builder = dist_builder
         self._payloads = block.payload_ints()
         self._acked: set[int] = set()
@@ -234,7 +229,7 @@ class Encoder:
             g = groups[0]
             members, n = g.members, g.count
             for t in range(degree):
-                j = lemire_index(n - t, word)
+                j = _lemire_index(n - t, word)
                 members[j], members[n - t - 1] = members[n - t - 1], members[j]
             return members[n - degree:n]
         group_u = self._group_u
@@ -253,7 +248,7 @@ class Encoder:
                 acc += weights[gi] * counts[gi]
             members = pools[gi]
             last = counts[gi] - 1
-            j = lemire_index(last + 1, word)
+            j = _lemire_index(last + 1, word)
             members[j], members[last] = members[last], members[j]
             chosen.append(members[last])
             counts[gi] = last

@@ -28,12 +28,11 @@ import numpy as np
 import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every forked worker
 
 from . import __version__
-from .codec import Decoder, Encoder, InputBlock, uniform_stream
+from .codec import Decoder, Encoder, InputBlock, _uniform_stream
 from .degree import LayerConfig, RsdParams, robust_soliton
 from .feedback import DistributionMode, FeedbackPolicy, apply_feedback
 
 __all__ = [
-    "SCHEME_IDS",
     "ChannelParams",
     "TrialConfig",
     "TransmissionTrace",
@@ -178,7 +177,7 @@ def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) ->
     block = InputBlock.random(config.k, config.payload_width, source, config.layers)
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
     encoder = Encoder(block, builder(config.k), coder, dist_builder=builder)
-    erasure_u = uniform_stream(channel)
+    erasure_u = _uniform_stream(channel)
     decoder = Decoder(config.k, config.payload_width, config.layers)
     n_layers = 1 if config.layers is None else config.layers.n_layers
 
@@ -358,6 +357,7 @@ def _run_batch(groups: list, workers: int, reduce):
 
 def _select(catalog: dict, schemes) -> list:
     """(scheme id, name, entry) of each scheme; the id keys its seeds."""
+    assert catalog.keys() <= SCHEME_IDS.keys(), "every catalogued scheme needs a fixed id"
     unknown = [name for name in schemes if name not in catalog]
     if unknown:
         raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(catalog)}")
@@ -395,11 +395,12 @@ def experiment_single_layer_feedback(
 ) -> SingleLayerExperiment:
     """Compare no feedback, per-symbol ack with the stock distribution, and
     per-symbol ack with the adaptive distribution, on one block size."""
+    catalog = single_layer_policies()
     groups = [
-        (name, [TrialConfig(k=k, seed=(seed, SCHEME_IDS[name], _point_key(ser), t),
+        (name, [TrialConfig(k=k, seed=(seed, si, _point_key(ser), t),
                             payload_width=payload_width, c=c, delta=delta, policy=policy, ser=ser)
                 for t in range(runs)])
-        for name, policy in single_layer_policies().items()
+        for si, name, policy in _select(catalog, tuple(catalog))
     ]
     results = dict(_run_batch(groups, workers, _aggregate))
     return SingleLayerExperiment(k=k, runs=runs, seed=seed, schemes=results)

@@ -1,5 +1,6 @@
 """Tests for the transmission loop, metrics, and experiment drivers."""
 
+import inspect
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ltfeedback.simulator import (
     experiment_two_layer_ack,
     format_value,
     run_trial,
+    single_layer_policies,
     two_layer_config,
 )
 
@@ -179,6 +181,14 @@ class TestSingleLayerExperiment:
         backward = [run_trial(config(t)) for t in reversed(range(5))][::-1]
         for a, b in zip(forward, backward):
             assert np.array_equal(a.undecoded, b.undecoded)
+
+
+def test_every_catalogued_scheme_has_its_own_fixed_id():
+    defaults = (inspect.signature(driver).parameters["schemes"].default
+                for driver in (experiment_two_layer_ack, experiment_deadline_distortion))
+    names = set(single_layer_policies()).union(*defaults)
+    assert names <= simulator.SCHEME_IDS.keys()
+    assert len(set(simulator.SCHEME_IDS.values())) == len(simulator.SCHEME_IDS)
 
 
 class TestTwoLayerExperiment:

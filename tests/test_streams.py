@@ -5,7 +5,8 @@ transmission loop in `oracles.py`."""
 import numpy as np
 import pytest
 
-from ltfeedback.codec import lemire_index, uniform_stream, word_stream
+from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
+from ltfeedback.degree import RsdParams, robust_soliton
 from ltfeedback.feedback import DistributionMode, FeedbackPolicy
 from ltfeedback.simulator import TrialConfig, run_trial, trial_rng, two_layer_config
 from oracles import chi_square_pvalue, lemire_scalar, scalar_run_trial
@@ -61,14 +62,23 @@ def test_scalar_oracle_sees_feedback():
 class TestStreams:
     def test_block_uniforms_equal_scalar_draws(self):
         # 600 values cross two block boundaries
-        fast = uniform_stream(np.random.default_rng(21))
+        fast = _uniform_stream(np.random.default_rng(21))
         scalar = np.random.default_rng(21)
         assert [fast() for _ in range(600)] == [scalar.random() for _ in range(600)]
 
     def test_block_words_equal_scalar_draws(self):
-        fast = word_stream(np.random.default_rng(22))
+        fast = _word_stream(np.random.default_rng(22))
         scalar = np.random.default_rng(22).bit_generator
         assert [fast() for _ in range(600)] == [scalar.random_raw() for _ in range(600)]
+
+    def test_encoder_draws_the_same_for_any_bit_generator(self):
+        # MT19937's raw words have 32 bits: the encoder's substreams are PCG64
+        block = InputBlock.random(60, 2, np.random.default_rng(26))
+        dist = robust_soliton(RsdParams(60, 0.1, 1.0))
+        encoders = [Encoder(block, dist, np.random.Generator(bit_generator(27)))
+                    for bit_generator in (np.random.PCG64, np.random.MT19937)]
+        first, second = ([e.encode_next().neighbors for _ in range(200)] for e in encoders)
+        assert first == second
 
     def test_trailing_zero_keys_give_different_streams(self):
         draws = [trial_rng(*key).random(4).tolist() for key in ((5,), (5, 0), (5, 0, 0))]
@@ -90,39 +100,37 @@ def words(*values):
 class TestLemireIndex:
     def test_bound_one_is_always_zero(self):
         for w in (0, 1, 2**63, 2**64 - 1):
-            assert lemire_index(1, words(w)) == 0
+            assert _lemire_index(1, words(w)) == 0
 
     def test_rejected_word_draws_again(self):
         # bound 3 rejects the low words below 2^64 mod 3 = 1: word 0 alone
-        assert lemire_index(3, words(0, 2**64 - 1)) == 2
-        assert lemire_index(3, words(0, 0, 0, 2**63)) == 1
+        assert _lemire_index(3, words(0, 2**64 - 1)) == 2
+        assert _lemire_index(3, words(0, 0, 0, 2**63)) == 1
 
     def test_low_word_at_threshold_is_kept(self):
         # 3 * w = 2 * 2^64 + 1: its low word 1 is below the bound but not
         # below the threshold, so w is accepted without a second word
         w = (2 * 2**64 + 1) // 3
-        assert lemire_index(3, words(w)) == 2
+        assert _lemire_index(3, words(w)) == 2
 
     def test_top_word_maps_to_last_index(self):
         for bound in (2, 7, 1000, 2**64 - 1):
-            assert lemire_index(bound, words(2**64 - 1)) == bound - 1
+            assert _lemire_index(bound, words(2**64 - 1)) == bound - 1
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(23)
         bounds = rng.integers(1, 2**63, size=300).tolist() + list(range(1, 300))
-        fast, scalar = word_stream(np.random.default_rng(24)), np.random.default_rng(24)
+        fast, scalar = _word_stream(np.random.default_rng(24)), np.random.default_rng(24)
         for bound in bounds:
-            assert lemire_index(bound, fast) == lemire_scalar(
+            assert _lemire_index(bound, fast) == lemire_scalar(
                 bound, scalar.bit_generator.random_raw)
 
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
     @pytest.mark.parametrize("bound", [3, 7, 1000])
-    def test_uniform_by_chi_square(self, bound, bit_generator):
+    def test_uniform_by_chi_square(self, bound):
         # goodness of fit to the uniform law at significance level 0.01, with
         # 30000 draws: enough to show a 2% excess in one index of bound 3.
-        # MT19937 emits 32-bit raw words; the index must still use 64 bits.
-        word = word_stream(np.random.Generator(bit_generator(25 + bound)))
+        word = _word_stream(np.random.default_rng(25 + bound))
         n = 30_000
-        counts = np.bincount([lemire_index(bound, word) for _ in range(n)], minlength=bound)
+        counts = np.bincount([_lemire_index(bound, word) for _ in range(n)], minlength=bound)
         assert counts.size == bound
         assert chi_square_pvalue(counts, np.full(bound, 1.0 / bound)) > 0.01
