@@ -8,14 +8,14 @@ decodes one input, which reduces buffered symbols and may release more
 into the ripple.  Both sides are single-owner sequential state machines.
 
 The encoder reads three substreams of its generator: degree uniforms,
-layer-group uniforms and 64-bit index words.  Each is drawn in blocks, and
-the i-th value read equals the i-th scalar draw from that substream, so
-acknowledgments never force a refill.
+layer-group uniforms and 64-bit index words.  Each is drawn in blocks and
+read by position, and the i-th value read equals the i-th scalar draw from
+that substream, so acknowledgments never force a refill.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -37,20 +37,40 @@ _TWO64 = 1 << 64
 _MASK = _TWO64 - 1
 
 
-def _blockwise(draw):
-    """The values of draw(1), draw(1), ..., one at a time, _BLOCK per call."""
-    while True:
-        yield from draw(_BLOCK).tolist()
+class _Stream:
+    """The values of draw(1), draw(1), ..., read by position from a list
+    that draw(_BLOCK) extends: the i-th value read is the i-th scalar draw.
+    Calling it reads the next value."""
+
+    __slots__ = ("draw", "values", "pos")
+
+    def __init__(self, draw):
+        self.draw, self.values, self.pos = draw, [], 0
+
+    def ahead(self, count: int) -> list:
+        """`values`, holding at least `count` unread values from `pos` on."""
+        values, pos = self.values, self.pos
+        if pos + count > len(values):
+            values = values[pos:]
+            while len(values) < count:
+                values += self.draw(_BLOCK).tolist()
+            self.values, self.pos = values, 0
+        return values
+
+    def __call__(self):
+        values = self.ahead(1)
+        self.pos += 1
+        return values[self.pos - 1]
 
 
-def _uniform_stream(rng: np.random.Generator) -> Callable[[], float]:
-    """Next-value function over rng.random(): uniforms in [0, 1)."""
-    return _blockwise(rng.random).__next__
+def _uniform_stream(rng: np.random.Generator) -> _Stream:
+    """The uniforms in [0, 1) of rng.random()."""
+    return _Stream(rng.random)
 
 
-def _word_stream(rng: np.random.Generator) -> Callable[[], int]:
-    """Next-value function over the raw 64-bit words of a PCG64 generator."""
-    return _blockwise(rng.bit_generator.random_raw).__next__
+def _word_stream(rng: np.random.Generator) -> _Stream:
+    """The raw 64-bit words of a PCG64 generator."""
+    return _Stream(rng.bit_generator.random_raw)
 
 
 def _lemire_index(bound: int, word: Callable[[], int]) -> int:
@@ -99,8 +119,7 @@ class InputBlock:
         return self._ints
 
 
-@dataclass(frozen=True)
-class OutputSymbol:
+class OutputSymbol(NamedTuple):
     """XOR of the input payloads at `neighbors`."""
 
     neighbors: frozenset
@@ -112,26 +131,15 @@ class OutputSymbol:
         return len(self.neighbors)
 
 
-class _Group:
-    """One selection class of eligible indices; members beyond `count` are
-    parked from in-progress draws and restored afterwards."""
-
-    __slots__ = ("weight", "members", "count")
-
-    def __init__(self, weight: float, members: list[int]):
-        self.weight = weight
-        self.members = members
-        self.count = len(members)
-
-
 class Encoder:
     """Rateless encoder over the not-yet-acknowledged part of a block.
 
     The degree, layer-group and index substreams are PCG64 generators on
     children of `rng`'s seed sequence, spawned in that order; for a PCG64
-    `rng` they equal `rng.spawn(3)`.  `dist_builder`, when given, maps an
-    eligible-set size to a fresh distribution; feedback policies use it to
-    re-parameterize after acknowledgments.
+    `rng` they equal `rng.spawn(3)`.  An unlayered block never reads its
+    layer-group child and builds no generator on it.  `dist_builder`, when
+    given, maps an eligible-set size to a fresh distribution; feedback
+    policies use it to re-parameterize after acknowledgments.
     """
 
     def __init__(self, block: InputBlock, distribution: DegreeDistribution,
@@ -139,11 +147,11 @@ class Encoder:
                  dist_builder: Optional[Callable[[int], DegreeDistribution]] = None):
         self.block = block
         # PCG64 whatever rng's bit generator is: every raw word has 64 bits
-        children = rng.bit_generator.seed_seq.spawn(3)
-        degrees, groups, indices = map(np.random.default_rng, children)
-        self._degree_u = _uniform_stream(degrees)
-        self._group_u = _uniform_stream(groups)
-        self._word = _word_stream(indices)
+        degrees, groups, indices = rng.bit_generator.seed_seq.spawn(3)
+        self._degree_u = _uniform_stream(np.random.default_rng(degrees))
+        self._group_u = (None if block.layers is None
+                         else _uniform_stream(np.random.default_rng(groups)))
+        self._word = _word_stream(np.random.default_rng(indices))
         self.dist_builder = dist_builder
         self._payloads = block.payload_ints()
         self._acked: set[int] = set()
@@ -164,6 +172,7 @@ class Encoder:
         if dist.pmf[0] != 0.0:
             raise ValueError("encoder distribution must carry no mass at degree 0")
         self._distribution = dist
+        self._cdf = memoryview(dist.cdf)  # bisects as floats, with no copy
 
     @property
     def base_distribution(self) -> DegreeDistribution:
@@ -183,6 +192,8 @@ class Encoder:
         return self._eligible
 
     def _rebuild_groups(self):
+        """Parallel lists over the layers with eligible members; a draw parks
+        its picks behind the first `_counts[g]` members of pool g."""
         layers = self.block.layers
         if layers is None:
             ranges = [(0, self.block.k)]
@@ -191,21 +202,20 @@ class Encoder:
             bounds = layers.boundaries()
             ranges = list(zip(bounds[:-1], bounds[1:]))
             weights = list(layers.weight_ratios)
-        groups = []
-        for (lo, hi), w in zip(ranges, weights):
-            members = [i for i in range(lo, hi) if i not in self._acked]
-            if members:
-                groups.append(_Group(w, members))
+        groups = [(w, [i for i in range(lo, hi) if i not in self._acked])
+                  for (lo, hi), w in zip(ranges, weights)]
+        groups = [(w, members) for w, members in groups if members]
         # A single selection class needs no weighting.
-        if len(groups) == 1:
-            groups[0].weight = 1.0
-        self._groups = groups
-        self._eligible = sum(g.count for g in groups)
+        self._weights = [1.0] if len(groups) == 1 else [w for w, _ in groups]
+        self._pools = [members for _, members in groups]
+        self._counts = [len(members) for members in self._pools]
+        self._masses = [w * c for w, c in zip(self._weights, self._counts)]
+        self._eligible = sum(self._counts)
 
     def ack_indices(self, decoded):
         """Exclude the given input indices from all future symbols."""
         decoded = set(decoded)
-        if not decoded <= set(range(self.block.k)):
+        if decoded and (min(decoded) < 0 or max(decoded) >= self.block.k):
             raise ValueError("acknowledged indices outside the block")
         self._acked = decoded
         self._rebuild_groups()
@@ -222,58 +232,85 @@ class Encoder:
         self.acked_layers.add(layer)
         self.layer_acks_fired += 1
 
-    def _draw_neighbors(self, degree: int) -> list[int]:
-        groups = self._groups
-        word = self._word
-        if len(groups) == 1:
-            g = groups[0]
-            members, n = g.members, g.count
-            for t in range(degree):
-                j = _lemire_index(n - t, word)
-                members[j], members[n - t - 1] = members[n - t - 1], members[j]
-            return members[n - degree:n]
+    # Both draws read index words by position, Lemire's method inlined.  A low
+    # word below the bound may be rejected: that index is drawn word by word.
+
+    def _draw_uniform(self, degree: int) -> list[int]:
+        members, n = self._pools[0], self._counts[0]
+        stream, mask = self._word, _MASK
+        words, pos = stream.ahead(degree), stream.pos
+        for bound in range(n, n - degree, -1):
+            m = words[pos] * bound
+            if m & mask < bound:
+                stream.pos = pos
+                j = _lemire_index(bound, stream)
+                words, pos = stream.ahead(degree), stream.pos
+            else:
+                j, pos = m >> 64, pos + 1
+            last = bound - 1
+            members[j], members[last] = members[last], members[j]
+        stream.pos = pos
+        return members[n - degree:n]
+
+    def _draw_weighted(self, degree: int) -> list[int]:
+        weights, pools = self._weights, self._pools
+        counts, masses = self._counts[:], self._masses[:]
+        total, last_group = sum(masses), len(pools) - 1
         group_u = self._group_u
-        weights = [g.weight for g in groups]
-        pools = [g.members for g in groups]
-        counts = [g.count for g in groups]
-        total = sum(w * c for w, c in zip(weights, counts))
-        last_group = len(groups) - 1
-        chosen = []
-        for _ in range(degree):
-            u = group_u() * total
+        uniforms, first = group_u.ahead(degree), group_u.pos
+        group_u.pos = first + degree
+        stream, mask = self._word, _MASK
+        words, pos = stream.ahead(degree), stream.pos
+        for u in uniforms[first:first + degree]:
+            u *= total
             gi = 0
-            acc = weights[0] * counts[0]
+            acc = masses[0]
             while u >= acc and gi < last_group:
                 gi += 1
-                acc += weights[gi] * counts[gi]
+                acc += masses[gi]
+            bound = counts[gi]
+            m = words[pos] * bound
+            if m & mask < bound:
+                stream.pos = pos
+                j = _lemire_index(bound, stream)
+                words, pos = stream.ahead(degree), stream.pos
+            else:
+                j, pos = m >> 64, pos + 1
             members = pools[gi]
-            last = counts[gi] - 1
-            j = _lemire_index(last + 1, word)
+            last = bound - 1
             members[j], members[last] = members[last], members[j]
-            chosen.append(members[last])
             counts[gi] = last
-            total -= weights[gi]
+            w = weights[gi]
+            masses[gi] = w * last
+            total -= w
+        stream.pos = pos
+        chosen = []
+        for members, c, n in zip(pools, counts, self._counts):
+            chosen += members[c:n]
         return chosen
 
-    def encode_next(self) -> OutputSymbol:
-        """Emit the next output symbol; degree draws above the eligible-set
-        size are clamped to it."""
+    def next_neighbors(self) -> list[int]:
+        """Draw the next symbol's neighbors and advance past it, building no
+        symbol: all that a symbol the channel erases costs.  Degree draws
+        above the eligible-set size are clamped to it."""
         m = self._eligible
         if m == 0:
             raise RuntimeError("no eligible input symbols remain")
-        dist = self._distribution
-        degree = min(int(dist.cdf.searchsorted(self._degree_u(), side="right")), dist.k, m)
-        neighbors = self._draw_neighbors(degree)
+        degree = min(bisect_right(self._cdf, self._degree_u()), self._distribution.k, m)
+        self._sequence += 1
+        if len(self._pools) == 1:
+            return self._draw_uniform(degree)
+        return self._draw_weighted(degree)
+
+    def encode_next(self) -> OutputSymbol:
+        """Emit the next output symbol."""
+        neighbors = self.next_neighbors()
+        payloads = self._payloads
         value = 0
         for i in neighbors:
-            value ^= self._payloads[i]
-        sym = OutputSymbol(
-            neighbors=frozenset(neighbors),
-            payload=value.to_bytes(self.block.width, "big"),
-            sequence_number=self._sequence,
-        )
-        self._sequence += 1
-        return sym
+            value ^= payloads[i]
+        return OutputSymbol(frozenset(neighbors), value.to_bytes(self.block.width, "big"),
+                            self._sequence - 1)
 
 
 class ReceiveResult(NamedTuple):
@@ -291,7 +328,12 @@ class DecoderSnapshot:
 
 
 class Decoder:
-    """Peeling decoder with a FIFO ripple and a buffer of unresolved symbols."""
+    """Peeling decoder with a FIFO ripple and a buffer of unresolved symbols.
+
+    Symbol s is entry s of flat lists: its count of undecoded neighbors, the
+    XOR of their indices (at a count of one, the last neighbor) and its
+    payload stripped of decoded neighbors.  `_holders[i]` lists the symbols
+    that arrived with input i undecoded."""
 
     def __init__(self, k: int, width: int, layers: Optional[LayerConfig] = None):
         if layers is not None and layers.k != k:
@@ -300,27 +342,14 @@ class Decoder:
         self.width = width
         self.layers = layers
         self._decoded: dict[int, int] = {}
-        self._entries: dict[int, list] = {}  # id -> [neighbor set, payload int]
-        self._by_index: defaultdict[int, set] = defaultdict(set)
-        self._ripple: deque = deque()
-        self._next_id = 0
+        self._left, self._index_xor, self._value = [], [], []
+        self._holders = [[] for _ in range(k)]
+        self._ripple: list[int] = []
         self.redundant_count = 0
-        if layers is None:
-            self._layer_starts = [0]
-            self._undecoded = [k]
-        else:
-            self._layer_starts = list(layers.boundaries()[:-1])
-            self._undecoded = list(layers.layer_sizes)
+        sizes = (k,) if layers is None else layers.layer_sizes
+        self._undecoded = list(sizes)
+        self._layer_at = sum(([li] * size for li, size in enumerate(sizes)), [])
         self._snapshot = None
-
-    def _layer_of(self, index: int) -> int:
-        starts = self._layer_starts
-        lo = 0
-        for li in range(len(starts) - 1, -1, -1):
-            if index >= starts[li]:
-                lo = li
-                break
-        return lo
 
     @property
     def decoded_count(self) -> int:
@@ -340,7 +369,7 @@ class Decoder:
 
     @property
     def buffered_count(self) -> int:
-        return len(self._entries)
+        return sum(n > 1 for n in self._left)
 
     @property
     def ripple_size(self) -> int:
@@ -361,59 +390,56 @@ class Decoder:
         """Strip, then buffer / ripple / discard the symbol and peel to
         exhaustion.  Degree-0-after-stripping symbols count as redundant;
         duplicates are retained like any other symbol."""
-        neighbors = set(sym.neighbors)
+        neighbors = frozenset(sym.neighbors)  # no copy of a frozenset
         if not neighbors:
             raise ValueError("output symbol must have at least one neighbor")
         if min(neighbors) < 0 or max(neighbors) >= self.k:
             raise ValueError("symbol references indices outside the block")
-        value = int.from_bytes(sym.payload, "big")
         decoded = self._decoded
-        known = decoded.keys() & neighbors
-        for v in known:
-            value ^= decoded[v]
-        neighbors -= known
-        reduced = len(neighbors)
+        unknown = neighbors.difference(decoded)
+        reduced = len(unknown)
         if reduced == 0:
             self.redundant_count += 1
             return ReceiveResult(0, 0, True)
-        sid = self._next_id
-        self._next_id += 1
-        self._entries[sid] = [neighbors, value]
-        by_index = self._by_index
-        for v in neighbors:
-            by_index[v].add(sid)
-        if reduced == 1:
-            self._ripple.append(sid)
-        newly = self._drain()
-        return ReceiveResult(newly, reduced, False)
+        value = int.from_bytes(sym.payload, "big")
+        for v in neighbors - unknown:
+            value ^= decoded[v]
+        sid = len(self._left)
+        index_xor = 0
+        holders = self._holders
+        for v in unknown:
+            index_xor ^= v
+            holders[v].append(sid)
+        self._left.append(reduced)
+        self._index_xor.append(index_xor)
+        self._value.append(value)
+        return ReceiveResult(self._drain(sid) if reduced == 1 else 0, reduced, False)
 
-    def _drain(self) -> int:
-        count = 0
-        entries = self._entries
-        by_index = self._by_index
+    def _drain(self, first: int) -> int:
+        left, index_xor, values = self._left, self._index_xor, self._value
+        holders, decoded, layer_at = self._holders, self._decoded, self._layer_at
+        undecoded = self._undecoded
         ripple = self._ripple
-        decoded = self._decoded
-        while ripple:
-            sid = ripple.popleft()
-            entry = entries.pop(sid, None)
-            if entry is None:
+        ripple.append(first)
+        count = 0
+        for sid in ripple:  # grows while it is walked
+            if left[sid] != 1:
                 continue  # reduced away while queued
-            (v,) = entry[0]
-            value = entry[1]
+            left[sid] = 0
+            v = index_xor[sid]
+            value = values[sid]
             decoded[v] = value
-            self._undecoded[self._layer_of(v)] -= 1
+            undecoded[layer_at[v]] -= 1
             count += 1
-            for sid2 in by_index.pop(v, ()):
-                e2 = entries.get(sid2)
-                if e2 is None:
-                    continue
-                e2[0].discard(v)
-                e2[1] ^= value
-                remaining = len(e2[0])
-                if remaining == 1:
-                    ripple.append(sid2)
-                elif remaining == 0:
-                    entries.pop(sid2)
-        if count:
-            self._snapshot = None
+            for s in holders[v]:
+                n = left[s]
+                if n:
+                    left[s] = n - 1
+                    index_xor[s] ^= v
+                    values[s] ^= value
+                    if n == 2:
+                        ripple.append(s)
+            holders[v] = None
+        ripple.clear()
+        self._snapshot = None
         return count

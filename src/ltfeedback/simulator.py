@@ -10,8 +10,9 @@ scheme at erasure rate ser draws from SeedSequence(master seed,
 spawn_key=(scheme id, round(ser * 10^6), t)), so aggregates depend neither
 on execution order nor on the catalogue or grid a trial runs in.  The
 trial's sequence spawns one substream each for the source block, the
-encoder (which spawns its own three) and the channel.  Each experiment
-runs all its trials as one batch, in one process pool when it has workers.
+encoder (which spawns its own three) and the channel; no generator is
+built on a substream the trial never reads.  Each experiment runs all its
+trials as one batch, in one process pool when it has workers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every fork
 from . import __version__
 from .codec import Decoder, Encoder, InputBlock, _uniform_stream
 from .degree import LayerConfig, RsdParams, robust_soliton
-from .feedback import DistributionMode, FeedbackPolicy, apply_feedback
+from .feedback import DistributionMode, FeedbackKind, FeedbackPolicy, apply_feedback
 
 __all__ = [
     "ChannelParams",
@@ -165,19 +166,24 @@ def _point_key(ser: float) -> int:
 def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) -> TransmissionTrace:
     """Run one transmission until full decode, the deadline, or the safety cap.
 
-    The feedback policy is applied before every encoded symbol (ideal,
-    zero-latency feedback).  The source block, the encoder and the channel
-    draw from substreams spawned from `rng`, in that order.  Every decoded
-    payload is checked against the source block before returning.
+    The feedback policy, unless it is none, is applied before every encoded
+    symbol (ideal, zero-latency feedback).  The source block, the encoder
+    and the channel draw from PCG64 substreams spawned from `rng`'s seed
+    sequence (the config's seed when `rng` is None), in that order.  An
+    erased symbol is never built.  Every decoded payload is checked
+    against the source block before returning.
     """
-    if rng is None:
-        seed = config.seed
-        rng = trial_rng(*seed) if isinstance(seed, tuple) else trial_rng(seed)
-    source, coder, channel = rng.spawn(3)
-    block = InputBlock.random(config.k, config.payload_width, source, config.layers)
+    seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
+    seq = (np.random.SeedSequence(seed[0], spawn_key=seed[1:]) if rng is None
+           else rng.bit_generator.seed_seq)
+    source, coder, channel = seq.spawn(3)
+    block = InputBlock.random(config.k, config.payload_width, np.random.default_rng(source),
+                              config.layers)
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
-    encoder = Encoder(block, builder(config.k), coder, dist_builder=builder)
-    erasure_u = _uniform_stream(channel)
+    encoder = Encoder(block, builder(config.k), np.random.default_rng(coder),
+                      dist_builder=builder)
+    ser = config.ser
+    erasure_u = _uniform_stream(np.random.default_rng(channel)) if ser > 0.0 else None
     decoder = Decoder(config.k, config.payload_width, config.layers)
     n_layers = 1 if config.layers is None else config.layers.n_layers
 
@@ -193,7 +199,6 @@ def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) ->
     deadline = config.deadline
     by_sent = config.deadline_basis == "sent"
     policy = config.policy
-    ser = config.ser
 
     while not decoder.is_complete:
         if deadline is not None:
@@ -201,12 +206,13 @@ def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) ->
                 break
         if sent >= _SAFETY_CAP:
             raise RuntimeError("trial exceeded the sent-symbol safety cap")
-        apply_feedback(encoder, decoder.snapshot(), policy)
-        sym = encoder.encode_next()
+        if policy.kind is not FeedbackKind.NONE:
+            apply_feedback(encoder, decoder.snapshot(), policy)
         sent += 1
-        if ser > 0.0 and erasure_u() < ser:
+        if erasure_u is not None and erasure_u() < ser:
+            encoder.next_neighbors()
             continue
-        result = decoder.receive(sym)
+        result = decoder.receive(encoder.encode_next())
         received += 1
         rec_sent.append(sent)
         rec_undecoded.append(decoder.undecoded_per_layer)

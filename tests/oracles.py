@@ -19,9 +19,15 @@ test fixtures that the library itself never needed.
 per value: it reads the same substreams as `run_trial`, one uniform or one
 64-bit word per call, keeps its own encoder state and decodes by naive
 repeated peeling, so it pins the library's block draws, Lemire index draw
-and bookkeeping to the streams they must reproduce.
+and bookkeeping to the streams they must reproduce.  Its neighbor draw,
+`scalar_draw`, also checks hand-fed words against the encoder's.
+
+`ReferenceDecoder` is the peeling decoder on a dict of neighbor sets, the
+form the library's flat decoder replaced; the two must agree at every
+reception.
 """
 
+from collections import defaultdict, deque
 from functools import lru_cache
 from math import exp, expm1, log, log1p
 
@@ -366,6 +372,37 @@ def lemire_scalar(bound, next_word):
     return m // 2**64
 
 
+def scalar_draw(groups, degree, next_uniform, next_word):
+    """`degree` distinct neighbors from `groups`, a list of [weight, members]:
+    per pick, a uniform chooses the group (unless there is only one) and a
+    Lemire index the member, which is swapped behind the group's undrawn
+    members.  The swaps persist in `members`, as in the encoder."""
+    if len(groups) == 1:
+        members = groups[0][1]
+        n = len(members)
+        for t in range(degree):
+            j = lemire_scalar(n - t, next_word)
+            members[j], members[n - t - 1] = members[n - t - 1], members[j]
+        return members[n - degree:]
+    counts = [len(members) for _, members in groups]
+    total = sum(w * c for (w, _), c in zip(groups, counts))
+    chosen = []
+    for _ in range(degree):
+        u = next_uniform() * total
+        gi, acc = 0, groups[0][0] * counts[0]
+        while u >= acc and gi + 1 < len(groups):
+            gi += 1
+            acc += groups[gi][0] * counts[gi]
+        weight, members = groups[gi]
+        j = lemire_scalar(counts[gi], next_word)
+        last = counts[gi] - 1
+        members[j], members[last] = members[last], members[j]
+        chosen.append(members[last])
+        counts[gi] = last
+        total -= weight
+    return chosen
+
+
 def _peel(decoded, pending):
     """Decode every input that repeated degree-one resolution reaches."""
     while True:
@@ -411,33 +448,6 @@ def scalar_run_trial(config):
         return groups
 
     groups = eligible_groups()
-
-    def draw_neighbors(degree):
-        if len(groups) == 1:
-            members = groups[0][1]
-            n = len(members)
-            for t in range(degree):
-                j = lemire_scalar(n - t, next_word)
-                members[j], members[n - t - 1] = members[n - t - 1], members[j]
-            return members[n - degree:]
-        counts = [len(members) for _, members in groups]
-        total = sum(w * c for (w, _), c in zip(groups, counts))
-        chosen = []
-        for _ in range(degree):
-            u = group_rng.random() * total
-            gi, acc = 0, groups[0][0] * counts[0]
-            while u >= acc and gi + 1 < len(groups):
-                gi += 1
-                acc += groups[gi][0] * counts[gi]
-            weight, members = groups[gi]
-            j = lemire_scalar(counts[gi], next_word)
-            last = counts[gi] - 1
-            members[j], members[last] = members[last], members[j]
-            chosen.append(members[last])
-            counts[gi] = last
-            total -= weight
-        return chosen
-
     decoded, pending = {}, []
     undecoded = lambda: tuple(sum(i not in decoded for i in range(lo, hi)) for lo, hi in ranges)
     sent = received = 0
@@ -467,7 +477,7 @@ def scalar_run_trial(config):
         eligible = sum(len(members) for _, members in groups)
         u = degree_rng.random()
         degree = min(int(np.searchsorted(dist.cdf, u, side="right")), dist.k, eligible)
-        neighbors = draw_neighbors(degree)
+        neighbors = scalar_draw(groups, degree, group_rng.random, next_word)
         value = 0
         for i in neighbors:
             value ^= payloads[i]
@@ -502,3 +512,83 @@ def scalar_run_trial(config):
         layer_completion_sent=tuple(done_sent),
         payload_errors=sum(payloads[i] != v for i, v in decoded.items()),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference peeling decoder
+
+
+class ReferenceDecoder:
+    """Peeling decoder keeping each buffered symbol as [neighbor set, payload
+    int] in a dict, with a set of symbol ids per input index and a FIFO
+    ripple of symbol ids.  `receive` takes a neighbor set and a payload and
+    returns (newly decoded, reduced degree at arrival, redundant)."""
+
+    def __init__(self, k, width, layers=None):
+        self.k, self.width = k, width
+        self.decoded = {}
+        self.entries = {}
+        self.by_index = defaultdict(set)
+        self.ripple = deque()
+        self.next_id = 0
+        if layers is None:
+            self.bounds, self.undecoded = (0, k), [k]
+        else:
+            self.bounds, self.undecoded = layers.boundaries(), list(layers.layer_sizes)
+
+    @property
+    def buffered_count(self):
+        return len(self.entries)
+
+    @property
+    def ripple_size(self):
+        return len(self.ripple)
+
+    @property
+    def undecoded_per_layer(self):
+        return tuple(self.undecoded)
+
+    def decoded_payloads(self):
+        return {i: v.to_bytes(self.width, "big") for i, v in self.decoded.items()}
+
+    def receive(self, neighbors, payload):
+        neighbors = set(neighbors)
+        value = int.from_bytes(payload, "big")
+        known = self.decoded.keys() & neighbors
+        for v in known:
+            value ^= self.decoded[v]
+        neighbors -= known
+        reduced = len(neighbors)
+        if reduced == 0:
+            return (0, 0, True)
+        sid = self.next_id
+        self.next_id += 1
+        self.entries[sid] = [neighbors, value]
+        for v in neighbors:
+            self.by_index[v].add(sid)
+        if reduced == 1:
+            self.ripple.append(sid)
+        return (self._drain(), reduced, False)
+
+    def _drain(self):
+        count = 0
+        while self.ripple:
+            entry = self.entries.pop(self.ripple.popleft(), None)
+            if entry is None:
+                continue  # reduced away while queued
+            (v,) = entry[0]
+            self.decoded[v] = entry[1]
+            layer = max(li for li, lo in enumerate(self.bounds[:-1]) if v >= lo)
+            self.undecoded[layer] -= 1
+            count += 1
+            for sid in self.by_index.pop(v, ()):
+                e = self.entries.get(sid)
+                if e is None:
+                    continue
+                e[0].discard(v)
+                e[1] ^= entry[1]
+                if len(e[0]) == 1:
+                    self.ripple.append(sid)
+                elif not e[0]:
+                    self.entries.pop(sid)
+        return count

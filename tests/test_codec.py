@@ -14,7 +14,7 @@ from ltfeedback.degree import (
     RsdParams,
     robust_soliton,
 )
-from oracles import chi_square_pvalue
+from oracles import ReferenceDecoder, chi_square_pvalue
 
 
 def point_mass(k: int, degree: int) -> DegreeDistribution:
@@ -106,6 +106,13 @@ class TestEncoder:
         enc.ack_indices(set(range(6)))
         sym = enc.encode_next()
         assert sym.neighbors == frozenset(range(6, 10))
+
+    def test_acked_indices_outside_the_block_are_rejected(self):
+        rng = np.random.default_rng(11)
+        enc = Encoder(InputBlock.random(5, 8, rng), point_mass(5, 1), rng)
+        for bad in ({-1}, {5}, {0, 7}):
+            with pytest.raises(ValueError):
+                enc.ack_indices(bad)
 
     def test_acked_indices_never_appear(self):
         rng = np.random.default_rng(7)
@@ -257,7 +264,35 @@ def blocks_and_streams(draw):
     return block, [neighbor_sets[i] for i in stream]
 
 
+@st.composite
+def layered_blocks_and_streams(draw):
+    """blocks_and_streams, on a block that may be split into 2-4 layers."""
+    block, stream = draw(blocks_and_streams())
+    if block.k >= 2 and draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, block.k - 1), min_size=1,
+                                   max_size=min(3, block.k - 1))))
+        sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [block.k])]
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(sizes), max_size=len(sizes)))
+        block = InputBlock(block.symbols, LayerConfig(tuple(sizes), tuple(weights)))
+    return block, stream
+
+
 class TestDecoderProperties:
+    @given(layered_blocks_and_streams())
+    def test_matches_reference_decoder(self, case):
+        block, stream = case
+        dec = Decoder(block.k, block.width, block.layers)
+        ref = ReferenceDecoder(block.k, block.width, block.layers)
+        singles = [frozenset({i}) for i in range(block.k)]
+        for seq, neighbors in enumerate(stream + singles):
+            payload = xor_of(block, neighbors)
+            assert dec.receive(OutputSymbol(neighbors, payload, seq)) == ref.receive(neighbors,
+                                                                                     payload)
+            assert dec.ripple_size == ref.ripple_size
+            assert dec.buffered_count == ref.buffered_count
+            assert dec.undecoded_per_layer == ref.undecoded_per_layer
+        assert dec.decoded_payloads() == ref.decoded_payloads()
+
     @given(blocks_and_streams())
     def test_never_yields_a_wrong_payload(self, case):
         block, stream = case

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
-from ltfeedback.degree import RsdParams, robust_soliton
+from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
 from ltfeedback.feedback import DistributionMode, FeedbackPolicy
 from ltfeedback.simulator import TrialConfig, run_trial, trial_rng, two_layer_config
-from oracles import chi_square_pvalue, lemire_scalar, scalar_run_trial
+from oracles import chi_square_pvalue, lemire_scalar, scalar_draw, scalar_run_trial
 
 LAYERS = two_layer_config(80, 0.5, 9.0)
 ORIGINAL = FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)
@@ -35,6 +35,8 @@ TRIALS = {
         ser=0.45, deadline=120, deadline_basis="received"),
     "deadline_received_ack": TrialConfig(k=80, seed=12, policy=ORIGINAL, ser=0.5,
                                          deadline=60, deadline_basis="received"),
+    # degrees above 256 take more than one 256-word block for one symbol
+    "large_degrees": TrialConfig(k=400, seed=19, ser=0.1),
 }
 
 
@@ -50,6 +52,16 @@ def test_trace_equals_scalar_oracle(name):
                   "layer_completion_sent", "payload_errors"):
         assert getattr(fast, field) == getattr(slow, field), field
     assert fast.payload_errors == 0
+
+
+def test_large_degree_case_draws_degrees_above_256():
+    # without feedback the degree of symbol i is the i-th draw of the
+    # degree substream, child 0 of the encoder's child 1 of the trial seed
+    config = TRIALS["large_degrees"]
+    coder = np.random.SeedSequence(config.seed).spawn(3)[1]
+    u = np.random.default_rng(coder.spawn(3)[0]).random(run_trial(config).sent_total)
+    dist = robust_soliton(RsdParams(config.k, config.c, config.delta))
+    assert np.searchsorted(dist.cdf, u, side="right").max() > 256
 
 
 def test_scalar_oracle_sees_feedback():
@@ -134,3 +146,64 @@ class TestLemireIndex:
         counts = np.bincount([_lemire_index(bound, word) for _ in range(n)], minlength=bound)
         assert counts.size == bound
         assert chi_square_pvalue(counts, np.full(bound, 1.0 / bound)) > 0.01
+
+
+class TestBufferedDraw:
+    """The encoder's block-buffered draw against `scalar_draw` on hand-fed
+    index words.  Word 0 is rejected by Lemire's method for every bound
+    that is not a power of two."""
+
+    K = 10
+    LAYERS = LayerConfig((4, 6), (3.0, 1.0))
+
+    def encoder_on(self, words, start, degree, layers):
+        """An encoder of fixed degree whose index stream is `words` in 256-word
+        blocks, read from position `start` of the first."""
+        pmf = np.zeros(self.K + 1)
+        pmf[degree] = 1.0
+        block = InputBlock.random(self.K, 2, np.random.default_rng(40), layers)
+        enc = Encoder(block, DegreeDistribution(self.K, pmf), np.random.default_rng(41))
+        blocks = iter([words[i:i + 256] for i in range(256, len(words), 256)])
+        enc._word.values, enc._word.pos = words[:256], start
+        enc._word.draw = lambda n: np.array(next(blocks), dtype=np.uint64)
+        return enc
+
+    # case: (position the symbol starts reading at, the words its second
+    # pick reads first, words rejected)
+    CASES = {
+        "mid_block": (100, [0, 0, 0], 3),
+        "last_word_of_block": (254, [0], 1),
+        "run_to_end_of_buffer": (254, [0] * 256, 256),  # the next pick refills
+        "run_past_buffer": (254, [0] * 257, 257),  # the redraw itself refills
+        "kept_below_bound": (100, None, 0),
+    }
+
+    @pytest.mark.parametrize("layered", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_words_match_scalar_draw(self, case, layered):
+        # the symbol's picks have bounds 10, 9, 8, 7, or 6, 5, 4, 3 in the
+        # 6-member layer that layer-group uniforms of 0.99 always choose
+        degree, (start, second, rejected) = 4, self.CASES[case]
+        if second is None:
+            # its low product, bound - 1, enters the rejection branch but
+            # is at least 2^64 mod bound, so the word is kept
+            bound = 5 if layered else 9
+            second = [(bound - 1) * pow(bound, -1, 2**64) % 2**64]
+        rng = np.random.default_rng(42)
+        words = rng.integers(1, 2**64, size=768, dtype=np.uint64).tolist()
+        words[start + 1:start + 1 + len(second)] = second
+        layers = self.LAYERS if layered else None
+        enc = self.encoder_on(words, start, degree, layers)
+        uniforms = [0.99] * degree
+        if layered:
+            enc._group_u.values, enc._group_u.pos = list(uniforms), 0
+            groups = [[3.0, list(range(4))], [1.0, list(range(4, 10))]]
+        else:
+            groups = [[1.0, list(range(self.K))]]
+        read = []
+        next_word = lambda: read.append(words[start + len(read)]) or read[-1]
+        expected = scalar_draw(groups, degree, iter(uniforms).__next__, next_word)
+        assert len(read) == degree + rejected
+        assert enc.encode_next().neighbors == frozenset(expected)
+        assert enc._pools == [members for _, members in groups]
+        assert enc._word() == words[start + len(read)]  # no word skipped or read twice
