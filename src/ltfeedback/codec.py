@@ -319,6 +319,9 @@ class ReceiveResult(NamedTuple):
     redundant: bool
 
 
+_REDUNDANT = ReceiveResult(0, 0, True)
+
+
 @dataclass(frozen=True)
 class DecoderSnapshot:
     """What an acknowledgment can carry back to the encoder."""
@@ -400,7 +403,7 @@ class Decoder:
         reduced = len(unknown)
         if reduced == 0:
             self.redundant_count += 1
-            return ReceiveResult(0, 0, True)
+            return _REDUNDANT
         value = int.from_bytes(sym.payload, "big")
         for v in neighbors - unknown:
             value ^= decoded[v]
