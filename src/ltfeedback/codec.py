@@ -16,7 +16,7 @@ that substream, so acknowledgments never force a refill.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -296,7 +296,11 @@ class Encoder:
         m = self._eligible
         if m == 0:
             raise RuntimeError("no eligible input symbols remain")
-        degree = min(bisect_right(self._cdf, self._degree_u()), self._distribution.k, m)
+        u = self._degree_u  # read by position, refilled when used up
+        if u.pos == len(u.values):
+            u.ahead(1)
+        degree = min(bisect_right(self._cdf, u.values[u.pos]), self._distribution.k, m)
+        u.pos += 1
         self._sequence += 1
         if len(self._pools) == 1:
             return self._draw_uniform(degree)
@@ -322,12 +326,35 @@ class ReceiveResult(NamedTuple):
 _REDUNDANT = ReceiveResult(0, 0, True)
 
 
-@dataclass(frozen=True)
 class DecoderSnapshot:
-    """What an acknowledgment can carry back to the encoder."""
+    """What an acknowledgment can carry back to the encoder: the decoded
+    indices and which layers are complete.
 
-    decoded: frozenset
-    layers_complete: tuple
+    A decoder's snapshot builds `decoded` on its first read, from as many
+    leading keys of the decoder's decoded dict as it held when the snapshot
+    was taken.  Decoding only appends to that dict, so those keys are still
+    the set decoded then; a policy that reads only `layers_complete` builds
+    no set."""
+
+    __slots__ = ("layers_complete", "_decoded", "_source", "_count")
+
+    def __init__(self, decoded, layers_complete):
+        self.layers_complete = tuple(layers_complete)
+        self._decoded, self._source, self._count = frozenset(decoded), None, 0
+
+    @classmethod
+    def _of(cls, decoded: dict, layers_complete: tuple) -> "DecoderSnapshot":
+        snap = cls.__new__(cls)
+        snap.layers_complete = layers_complete
+        snap._decoded, snap._source, snap._count = None, decoded, len(decoded)
+        return snap
+
+    @property
+    def decoded(self) -> frozenset:
+        if self._decoded is None:
+            self._decoded = frozenset(islice(self._source, self._count))
+            self._source = None
+        return self._decoded
 
 
 class Decoder:
@@ -383,10 +410,7 @@ class Decoder:
 
     def snapshot(self) -> DecoderSnapshot:
         if self._snapshot is None:
-            self._snapshot = DecoderSnapshot(
-                decoded=frozenset(self._decoded),
-                layers_complete=self.layers_complete,
-            )
+            self._snapshot = DecoderSnapshot._of(self._decoded, self.layers_complete)
         return self._snapshot
 
     def receive(self, sym: OutputSymbol) -> ReceiveResult:
@@ -398,25 +422,34 @@ class Decoder:
             raise ValueError("output symbol must have at least one neighbor")
         if min(neighbors) < 0 or max(neighbors) >= self.k:
             raise ValueError("symbol references indices outside the block")
-        decoded = self._decoded
-        unknown = neighbors.difference(decoded)
-        reduced = len(unknown)
-        if reduced == 0:
+        unknown = neighbors.difference(self._decoded)
+        if not unknown:
             self.redundant_count += 1
             return _REDUNDANT
-        value = int.from_bytes(sym.payload, "big")
-        for v in neighbors - unknown:
-            value ^= decoded[v]
+        newly = self._add(neighbors, unknown, int.from_bytes(sym.payload, "big"))
+        return ReceiveResult(newly, len(unknown), False)
+
+    def _add(self, neighbors, unknown: set, value: int) -> int:
+        """Buffer a symbol whose payload is `value`, the XOR over all of
+        `neighbors`, of which the nonempty `unknown` are undecoded: strip the
+        decoded neighbors from its payload, then peel.  Returns the number
+        of inputs decoded."""
+        decoded = self._decoded
+        if len(unknown) < len(neighbors):
+            for v in neighbors:
+                if v not in unknown:
+                    value ^= decoded[v]
         sid = len(self._left)
         index_xor = 0
         holders = self._holders
         for v in unknown:
             index_xor ^= v
             holders[v].append(sid)
+        reduced = len(unknown)
         self._left.append(reduced)
         self._index_xor.append(index_xor)
         self._value.append(value)
-        return ReceiveResult(self._drain(sid) if reduced == 1 else 0, reduced, False)
+        return self._drain(sid) if reduced == 1 else 0
 
     def _drain(self, first: int) -> int:
         left, index_xor, values = self._left, self._index_xor, self._value

@@ -160,16 +160,18 @@ def robust_soliton(params: RsdParams) -> DegreeDistribution:
 def _thin_step(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Omega_{L-1} from Omega_L, L = row.size - 1: one more of the L
     undecoded symbols is decoded, chosen uniformly, so
-    Omega_{L-1}(d) = Omega_L(d)*(L-d)/L + Omega_L(d+1)*(d+1)/L."""
+    Omega_{L-1}(d) = Omega_L(d)*(L-d)/L + Omega_L(d+1)*(d+1)/L.
+    `idx` is 0, 1, 2, ... as floats, so L - d is idx[L - d], read reversed."""
     level = row.size - 1
-    return (row[:-1] * (level - idx[:level]) + row[1:] * idx[1 : level + 1]) / level
+    return (row[:-1] * idx[level:0:-1] + row[1:] * idx[1 : level + 1]) / level
 
 
 @lru_cache(maxsize=_THIN_TABLES)
-def _thinning_checkpoints(pmf_bytes: bytes, n: int) -> tuple[int, tuple[np.ndarray, ...]]:
+def _thinning_checkpoints(pmf_bytes: bytes, n: int) -> tuple[int, tuple[np.ndarray, ...], list]:
     """Rows Omega_L for L = n, n-s, n-2s, ... >= 0 with stride s = ceil(sqrt(n)),
-    each of length L+1.  The pmf's mass above n goes to degree n, as the
-    encoder clamps oversized draws to the eligible set."""
+    each of length L+1, and a slot [L, Omega_L] for the last row looked up.
+    The pmf's mass above n goes to degree n, as the encoder clamps
+    oversized draws to the eligible set."""
     pmf = np.frombuffer(pmf_bytes)
     row = pmf[: n + 1].copy()
     row[n] += pmf[n + 1 :].sum()
@@ -182,21 +184,29 @@ def _thinning_checkpoints(pmf_bytes: bytes, n: int) -> tuple[int, tuple[np.ndarr
             rows.append(row)
     for r in rows:
         r.flags.writeable = False
-    return stride, tuple(rows)
+    return stride, tuple(rows), [n, rows[0]]
 
 
 def _thinned(pmf: np.ndarray, n: int, undecoded: int) -> np.ndarray:
     """Omega_L for L = `undecoded`: the pmf of the number of undecoded
     neighbors of a symbol whose degree is drawn from `pmf` and whose
     neighbors are chosen uniformly among `n` eligible symbols, `undecoded`
-    of them still unknown.  Steps fewer than ceil(sqrt(n)) levels down from
-    the checkpoint above, so a lookup costs O(sqrt(n) * n)."""
-    stride, rows = _thinning_checkpoints(pmf.tobytes(), n)
+    of them still unknown.  Steps down from the nearer of the checkpoint
+    above and the last row looked up, if that lies between the two: fewer
+    than ceil(sqrt(n)) levels, so a lookup costs O(sqrt(n) * n), and one
+    level per symbol decoded since the last lookup when a trial asks for
+    ever fewer undecoded symbols.  Each row is one fixed step from the row
+    above it, so every start gives the same floats."""
+    stride, rows, last = _thinning_checkpoints(pmf.tobytes(), n)
     j = (n - undecoded) // stride
-    row = rows[j]
+    level, row = n - j * stride, rows[j]
+    if undecoded <= last[0] < level:
+        level, row = last
     idx = np.arange(row.size, dtype=np.float64)
-    for _ in range(n - j * stride - undecoded):
+    for _ in range(level - undecoded):
         row = _thin_step(row, idx)
+    row.flags.writeable = False
+    last[:] = undecoded, row
     return row
 
 

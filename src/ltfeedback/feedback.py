@@ -4,8 +4,10 @@ Three policies: none, ideal per-symbol acknowledgment (with the encoder
 either rebuilding its stock distribution over the shrunken block or
 switching to the zero-redundancy adaptive distribution), and whole-layer
 acknowledgment for layered codes (a single feedback message per layer).
-Feedback is ideal: cost-free, loss-free, and synchronized before every
-encoded symbol.
+Feedback is ideal: cost-free, loss-free, and in effect before the next
+encoded symbol.  `apply_feedback` changes nothing when the decoder state it
+is given has not changed since the last call, so a caller may apply it
+only after decode events.
 """
 
 from __future__ import annotations

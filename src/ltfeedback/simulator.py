@@ -1,8 +1,11 @@
 """Erasure-channel transmission loop, metric collection, and experiments.
 
 A trial streams encoder output through a memoryless erasure channel into
-the peeling decoder, applying the feedback policy before every encoded
-symbol, and records the per-layer undecoded counts at every reception.
+the peeling decoder and applies the feedback policy after every reception
+that decoded something.  Feedback on an unchanged decoder state changes
+nothing, so this is the same as applying it before every encoded symbol.
+The trace holds the per-layer undecoded counts at every reception,
+recorded at decode events and expanded at the end of the trial.
 Experiment drivers average many independent trials: the single-layer
 feedback comparison, the two-layer layer-acknowledgment comparison, and
 the deadline-limited distortion sweep over erasure rates.  Trial t of a
@@ -29,7 +32,7 @@ import numpy as np
 import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every forked worker
 
 from . import __version__
-from .codec import Decoder, Encoder, InputBlock, _uniform_stream
+from .codec import _BLOCK, Decoder, Encoder, InputBlock
 from .degree import LayerConfig, RsdParams, robust_soliton
 from .feedback import DistributionMode, FeedbackKind, FeedbackPolicy, apply_feedback
 
@@ -104,6 +107,9 @@ class TrialConfig:
             raise ValueError("deadline must be nonnegative")
         if self.ser >= 1.0 and self.deadline is None:
             raise ValueError("ser = 1 with no deadline would never terminate")
+        if self.ser >= 1.0 and self.deadline_basis == "received" and self.deadline:
+            raise ValueError("ser = 1 delivers no symbol, so a deadline on received "
+                             "symbols would never be reached")
         if self.layers is not None and self.layers.k != self.k:
             raise ValueError("layer sizes must sum to k")
 
@@ -166,32 +172,42 @@ def _point_key(ser: float) -> int:
 def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) -> TransmissionTrace:
     """Run one transmission until full decode, the deadline, or the safety cap.
 
-    The feedback policy, unless it is none, is applied before every encoded
-    symbol (ideal, zero-latency feedback).  The source block, the encoder
-    and the channel draw from PCG64 substreams spawned from `rng`'s seed
-    sequence (the config's seed when `rng` is None), in that order.  An
-    erased symbol is never built.  Every decoded payload is checked
-    against the source block before returning.
+    The feedback policy, unless it is none, is applied after every reception
+    that decoded something and left the block incomplete.  Applying it to an
+    unchanged decoder state changes nothing, so this equals applying it
+    before every encoded symbol (ideal, zero-latency feedback).  The source
+    block, the encoder and the channel draw from PCG64 substreams spawned
+    from `rng`'s seed sequence (the config's seed when `rng` is None), in
+    that order.  A symbol is built only as far as it is needed: an erased
+    one is its neighbors, a redundant one its neighbors tested against the
+    decoded set, and any other one the XOR of all its neighbors' source
+    payloads, which the decoder strips and peels.  Every decoded payload is
+    checked against the source block before returning.
     """
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     seq = (np.random.SeedSequence(seed[0], spawn_key=seed[1:]) if rng is None
            else rng.bit_generator.seed_seq)
     source, coder, channel = seq.spawn(3)
-    block = InputBlock.random(config.k, config.payload_width, np.random.default_rng(source),
+    k = config.k
+    block = InputBlock.random(k, config.payload_width, np.random.default_rng(source),
                               config.layers)
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
-    encoder = Encoder(block, builder(config.k), np.random.default_rng(coder),
-                      dist_builder=builder)
+    encoder = Encoder(block, builder(k), np.random.default_rng(coder), dist_builder=builder)
     ser = config.ser
-    erasure_u = _uniform_stream(np.random.default_rng(channel)) if ser > 0.0 else None
-    decoder = Decoder(config.k, config.payload_width, config.layers)
-    n_layers = 1 if config.layers is None else config.layers.n_layers
+    erasure_draw = np.random.default_rng(channel).random if ser > 0.0 else None
+    decoder = Decoder(k, config.payload_width, config.layers)
+    layer_sizes = (k,) if config.layers is None else config.layers.layer_sizes
+    n_layers = len(layer_sizes)
 
+    payloads = block.payload_ints()
+    decoded = decoder._decoded  # read only: the inputs decoded so far
+    next_neighbors, add = encoder.next_neighbors, decoder._add
+    erasure_u, erasure_pos = [], 0  # channel uniforms, read by position
     sent = 0
     received = 0
     rec_sent: list[int] = []
-    rec_undecoded: list[tuple] = []
-    rec_redundant: list[bool] = []
+    decode_events: list[tuple] = []  # (reception, undecoded per layer after it)
+    redundant_at: list[int] = []  # 0-based receptions that were redundant
     layer_done_recv: list = [None] * n_layers
     layer_done_sent: list = [None] * n_layers
     completion_sent = None
@@ -199,40 +215,65 @@ def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) ->
     deadline = config.deadline
     by_sent = config.deadline_basis == "sent"
     policy = config.policy
+    feedback = policy.kind is not FeedbackKind.NONE
 
-    while not decoder.is_complete:
+    while completion_sent is None:
         if deadline is not None:
             if (sent if by_sent else received) >= deadline:
                 break
         if sent >= _SAFETY_CAP:
             raise RuntimeError("trial exceeded the sent-symbol safety cap")
-        if policy.kind is not FeedbackKind.NONE:
-            apply_feedback(encoder, decoder.snapshot(), policy)
         sent += 1
-        if erasure_u is not None and erasure_u() < ser:
-            encoder.next_neighbors()
-            continue
-        result = decoder.receive(encoder.encode_next())
+        neighbors = next_neighbors()
+        if erasure_draw is not None:
+            if erasure_pos == len(erasure_u):
+                erasure_u, erasure_pos = erasure_draw(_BLOCK).tolist(), 0
+            erasure_pos += 1
+            if erasure_u[erasure_pos - 1] < ser:
+                continue
         received += 1
         rec_sent.append(sent)
-        rec_undecoded.append(decoder.undecoded_per_layer)
-        rec_redundant.append(result.redundant)
-        if result.newly_decoded:
-            for li, done in enumerate(decoder.layers_complete):
-                if done and layer_done_recv[li] is None:
-                    layer_done_recv[li] = received
-                    layer_done_sent[li] = sent
-            if decoder.is_complete:
-                completion_sent = sent
-                completion_received = received
+        unknown = {v for v in neighbors if v not in decoded}
+        if not unknown:
+            decoder.redundant_count += 1
+            redundant_at.append(received - 1)
+            continue
+        value = 0
+        for i in neighbors:
+            value ^= payloads[i]
+        if not add(neighbors, unknown, value):
+            continue
+        undecoded = decoder.undecoded_per_layer
+        decode_events.append((received, undecoded))
+        for li, left in enumerate(undecoded):
+            if left == 0 and layer_done_recv[li] is None:
+                layer_done_recv[li] = received
+                layer_done_sent[li] = sent
+        if len(decoded) == k:
+            completion_sent = sent
+            completion_received = received
+        elif feedback:
+            apply_feedback(encoder, decoder.snapshot(), policy)
 
     errors = sum(
         1 for i, payload in decoder.decoded_payloads().items() if block.symbols[i] != payload
     )
 
+    # Expand the decode events to one row per reception: a row holds until the next event.
+    rec_undecoded: list[tuple] = []
+    row = layer_sizes
+    for reception, after in decode_events:
+        rec_undecoded += [row] * (reception - 1 - len(rec_undecoded))
+        row = after
+        rec_undecoded.append(row)
+    rec_undecoded += [row] * (received - len(rec_undecoded))
+    rec_redundant = [False] * received
+    for r in redundant_at:
+        rec_redundant[r] = True
+
     return TransmissionTrace(
-        k=config.k,
-        layer_sizes=(config.k,) if config.layers is None else config.layers.layer_sizes,
+        k=k,
+        layer_sizes=layer_sizes,
         sent=np.array(rec_sent, dtype=np.int64),
         undecoded=np.array(rec_undecoded, dtype=np.int64).reshape(received, n_layers),
         redundant=np.array(rec_redundant, dtype=bool),

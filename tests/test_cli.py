@@ -9,9 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+from ltfeedback import simulator
 from ltfeedback.cli import main
 from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
 from oracles import sample_degrees, weighted_strip_counts
+
+
+def trial_forbidden(config, rng=None):
+    raise AssertionError("a trial ran before the configuration was checked")
 
 
 def read_csv(path):
@@ -217,6 +222,16 @@ class TestFailureModes:
         rc = main(["simulate", "distortion", "--k", "20", "--ser", "0:0:1",
                    "--seconds", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_received_deadline_at_total_erasure_exits_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        out = tmp_path / "never.csv"
+        rc = main(["simulate", "distortion", "--k", "20", "--ser", "0:0.5:1",
+                   "--seconds", "2", "--deadline-basis", "received", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "received" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

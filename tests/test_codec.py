@@ -208,6 +208,29 @@ class TestDecoder:
         with pytest.raises(ValueError):
             dec.receive(OutputSymbol(frozenset({5}), b"a", 0))
 
+    @pytest.mark.parametrize("neighbors", [frozenset(), frozenset({-1}), frozenset({0, 3})])
+    def test_invalid_symbol_raises_and_changes_nothing(self, neighbors):
+        # receive validates before it strips or buffers anything
+        dec = Decoder(3, 1)
+        dec.receive(OutputSymbol(frozenset({0, 1}), bytes([3]), 0))
+        with pytest.raises(ValueError):
+            dec.receive(OutputSymbol(neighbors, b"a", 1))
+        assert dec.buffered_count == 1 and dec.decoded_count == 0
+        assert dec.redundant_count == 0
+        assert dec.receive(OutputSymbol(frozenset({0}), bytes([1]), 2)).newly_decoded == 2
+
+    def test_snapshot_keeps_the_decoded_set_it_was_taken_at(self):
+        layers = LayerConfig((2, 2), (5.0, 1.0))
+        dec = Decoder(4, 1, layers)
+        dec.receive(OutputSymbol(frozenset({2}), b"a", 0))
+        early = dec.snapshot()
+        assert dec.snapshot() is early  # unchanged state, same snapshot
+        dec.receive(OutputSymbol(frozenset({0}), b"b", 1))
+        dec.receive(OutputSymbol(frozenset({1}), b"c", 2))
+        late = dec.snapshot()
+        assert early.decoded == frozenset({2}) and early.layers_complete == (False, False)
+        assert late.decoded == frozenset({0, 1, 2}) and late.layers_complete == (True, False)
+
     def test_completion_flags(self):
         dec = Decoder(2, 1)
         assert not dec.is_complete

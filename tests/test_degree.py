@@ -302,6 +302,23 @@ class TestThinningKernel:
                 assert degree._thinning_checkpoints.cache_info().currsize <= bound
         assert degree._thinning_checkpoints.cache_info().currsize == bound
 
+    def test_lookups_in_any_order_equal_the_step_chain_bit_for_bit(self):
+        # a lookup may start from its checkpoint or from the last row looked
+        # up; either way it must give the floats of stepping down from row n
+        n = 300
+        pmf = robust_soliton(RsdParams(n, 0.07, 0.9)).pmf
+        chain = [pmf.copy()]
+        idx = np.arange(n + 1, dtype=np.float64)
+        for _ in range(n):
+            row = chain[-1]
+            level = row.size - 1
+            chain.append((row[:-1] * (level - idx[:level]) + row[1:] * idx[1:level + 1]) / level)
+        rng = np.random.default_rng(31)
+        falling = np.sort(rng.choice(n + 1, size=60, replace=False))[::-1].tolist()
+        for undecoded in falling + rng.integers(0, n + 1, size=60).tolist() + [n, 0, n]:
+            got = degree._thinned(pmf, n, undecoded)
+            assert got.tobytes() == chain[n - undecoded].tobytes(), undecoded
+
 
 LAYERS_EQ = LayerConfig((50, 50), (1.0, 1.0))
 LAYERS_UEP = LayerConfig((50, 50), (9.0, 1.0))

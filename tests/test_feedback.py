@@ -206,6 +206,34 @@ ACK_POLICIES = [
 ]
 
 
+def encoder_state(enc):
+    """Everything feedback may change, and the positions of every stream."""
+    streams = [s for s in (enc._degree_u, enc._group_u, enc._word) if s is not None]
+    return (enc.distribution, enc.acked, enc.eligible_count, enc.layer_acks_fired,
+            frozenset(enc.acked_layers), [list(p) for p in enc._pools],
+            [(len(s.values), s.pos) for s in streams])
+
+
+@pytest.mark.parametrize("policy", [FeedbackPolicy.none(), *ACK_POLICIES],
+                         ids=lambda p: f"{p.kind.value}-{p.distribution_mode.value}-"
+                                       f"{p.reparameterize_after_layer_ack}")
+def test_same_snapshot_twice_changes_the_encoder_once(policy):
+    # run_trial applies feedback only after a decode event; that equals
+    # applying it before every symbol only if an unchanged report is a no-op
+    rng = np.random.default_rng(13)
+    layers = LayerConfig((10, 20), (9.0, 1.0))
+    enc = make_encoder(30, rng, layers)
+    for _ in range(5):
+        enc.encode_next()
+    snap = snapshot_of(set(range(10)) | {12, 25}, (True, False))
+    before = encoder_state(enc)
+    apply_feedback(enc, snap, policy)
+    once = encoder_state(enc)
+    apply_feedback(enc, snap, policy)
+    assert encoder_state(enc) == once
+    assert (once == before) == (policy.kind is FeedbackKind.NONE)
+
+
 class TestAckProperties:
     @given(k=st.integers(2, 40), base=st.integers(1, 39), beta=st.sampled_from([1.0, 3.0, 9.0]),
            layered=st.booleans(), policy=st.sampled_from(ACK_POLICIES),

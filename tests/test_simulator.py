@@ -47,6 +47,16 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             TrialConfig(k=10, seed=0, ser=1.0)
 
+    def test_total_erasure_with_received_deadline_rejected(self):
+        # no symbol ever arrives, so the trial would run to the safety cap
+        with pytest.raises(ValueError, match="received"):
+            TrialConfig(k=10, seed=0, ser=1.0, deadline=20, deadline_basis="received")
+
+    def test_zero_received_deadline_at_total_erasure_ends_at_once(self):
+        trace = run_trial(TrialConfig(k=10, seed=0, ser=1.0, deadline=0,
+                                      deadline_basis="received"))
+        assert trace.sent_total == trace.received_total == 0
+
     def test_overhead_never_negative(self):
         for seed in range(8):
             trace = run_trial(TrialConfig(k=60, seed=seed))

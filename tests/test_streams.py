@@ -2,13 +2,18 @@
 substreams and Lemire's index draw, with whole trials pinned to the scalar
 transmission loop in `oracles.py`."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
 from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
-from ltfeedback.feedback import DistributionMode, FeedbackPolicy
-from ltfeedback.simulator import TrialConfig, run_trial, trial_rng, two_layer_config
+from ltfeedback.feedback import DistributionMode, FeedbackKind, FeedbackPolicy
+from ltfeedback.simulator import (TransmissionTrace, TrialConfig, run_trial, trial_rng,
+                                  two_layer_config)
 from oracles import chi_square_pvalue, lemire_scalar, scalar_draw, scalar_run_trial
 
 LAYERS = two_layer_config(80, 0.5, 9.0)
@@ -51,6 +56,53 @@ def test_trace_equals_scalar_oracle(name):
                   "completion_sent", "completion_received", "layer_completion_received",
                   "layer_completion_sent", "payload_errors"):
         assert getattr(fast, field) == getattr(slow, field), field
+    assert fast.payload_errors == 0
+
+
+POLICIES = {
+    "none": FeedbackPolicy.none(),
+    "ack_original": ORIGINAL,
+    "ack_adaptive": ADAPTIVE,
+    "layer_ack": FeedbackPolicy.layer_ack(),
+    "layer_ack_kept_distribution": FeedbackPolicy.layer_ack(reparameterize=False),
+}
+
+
+@st.composite
+def trial_configs(draw, policy):
+    """k <= 120 in 1-3 layers (2-3 under layer acks), erasure rate in
+    [0, 0.9], and no deadline or one on either basis."""
+    n_layers = draw(st.integers(2 if policy.kind is FeedbackKind.LAYER_ACK else 1, 3))
+    k = draw(st.integers(n_layers, 120))
+    layers = None
+    if n_layers > 1:
+        cuts = sorted(draw(st.lists(st.integers(1, k - 1), min_size=n_layers - 1,
+                                    max_size=n_layers - 1, unique=True)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [k])]
+        weights = draw(st.lists(st.sampled_from([1.0, 3.0, 9.0]), min_size=n_layers,
+                                max_size=n_layers))
+        layers = LayerConfig(tuple(sizes), tuple(weights))
+    deadline = draw(st.none() | st.integers(0, 3 * k))
+    return TrialConfig(k=k, seed=draw(st.integers(0, 2**32 - 1)), layers=layers,
+                       policy=policy, ser=draw(st.floats(0.0, 0.9)), deadline=deadline,
+                       deadline_basis=draw(st.sampled_from(["sent", "received"])))
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_every_trace_field_equals_scalar_oracle(policy, data):
+    # the oracle applies feedback before every symbol, run_trial only after
+    # a decode event: the traces agree only if the two timings are equivalent
+    config = data.draw(trial_configs(POLICIES[policy]))
+    fast, slow = run_trial(config), scalar_run_trial(config)
+    for field in dataclasses.fields(TransmissionTrace):
+        a, b = getattr(fast, field.name), getattr(slow, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
     assert fast.payload_errors == 0
 
 
