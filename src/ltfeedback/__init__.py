@@ -26,7 +26,6 @@ from .degree import (
 from .codec import Decoder, DecoderSnapshot, Encoder, InputBlock, OutputSymbol, ReceiveResult
 from .feedback import DistributionMode, FeedbackKind, FeedbackPolicy, apply_feedback
 from .simulator import (
-    ChannelParams,
     RateDistortionModel,
     TransmissionTrace,
     TrialConfig,
@@ -35,7 +34,6 @@ from .simulator import (
     experiment_single_layer_feedback,
     experiment_two_layer_ack,
     run_trial,
-    trial_rng,
 )
 
 __all__ = [
@@ -65,11 +63,9 @@ __all__ = [
     "DistributionMode",
     "FeedbackPolicy",
     "apply_feedback",
-    "ChannelParams",
     "TrialConfig",
     "TransmissionTrace",
     "run_trial",
-    "trial_rng",
     "RateDistortionModel",
     "distortion_of_trace",
     "experiment_single_layer_feedback",

@@ -75,8 +75,6 @@ def apply_feedback(enc: Encoder, snapshot: DecoderSnapshot, policy: FeedbackPoli
         decoded = snapshot.decoded
         if len(decoded) == enc.acked_count:
             return enc  # decoded sets only grow, so equal size means no news
-        if decoded and max(decoded) >= enc.block.k:
-            raise ValueError("snapshot references indices outside the block")
         enc.ack_indices(decoded)
         remaining = enc.eligible_count
         if remaining == 0:

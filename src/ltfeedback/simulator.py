@@ -11,11 +11,11 @@ feedback comparison, the two-layer layer-acknowledgment comparison, and
 the deadline-limited distortion sweep over erasure rates.  Trial t of a
 scheme at erasure rate ser draws from SeedSequence(master seed,
 spawn_key=(scheme id, round(ser * 10^6), t)), so aggregates depend neither
-on execution order nor on the catalogue or grid a trial runs in.  The
-trial's sequence spawns one substream each for the source block, the
-encoder (which spawns its own three) and the channel; no generator is
-built on a substream the trial never reads.  Each experiment runs all its
-trials as one batch, in one process pool when it has workers.
+on execution order nor on the grid a trial runs in.  The trial's sequence
+spawns one substream each for the source block, the encoder (which spawns
+its own three) and the channel; no generator is built on a substream the
+trial never reads.  Each experiment runs all its trials as one batch, in
+one process pool when it has workers.
 """
 
 from __future__ import annotations
@@ -37,18 +37,17 @@ from .degree import LayerConfig, RsdParams, robust_soliton
 from .feedback import DistributionMode, FeedbackKind, FeedbackPolicy, apply_feedback
 
 __all__ = [
-    "ChannelParams",
     "TrialConfig",
     "TransmissionTrace",
     "run_trial",
-    "trial_rng",
     "RateDistortionModel",
     "distortion_of_trace",
+    "Scheme",
+    "SCHEMES",
     "SchemeStats",
     "SingleLayerExperiment",
     "TwoLayerExperiment",
     "DistortionExperiment",
-    "single_layer_policies",
     "two_layer_config",
     "experiment_single_layer_feedback",
     "experiment_two_layer_ack",
@@ -59,28 +58,6 @@ __all__ = [
 ]
 
 _SAFETY_CAP = 10_000_000  # sent-symbol bound against runaway trials
-
-# Fixed per name: a scheme's trials draw the same streams whichever
-# catalogue lists it, in whatever order, and whichever experiment runs it.
-SCHEME_IDS = {
-    "no_feedback": 0,
-    "ack_original": 1,
-    "ack_adaptive": 2,
-    "single_layer": 3,
-    "two_layer_no_ack": 4,
-    "two_layer_layer_ack": 5,
-}
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Memoryless symbol-erasure channel."""
-
-    ser: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.ser <= 1.0:
-            raise ValueError("symbol erasure rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -100,7 +77,8 @@ class TrialConfig:
     deadline_basis: str = "sent"
 
     def __post_init__(self):
-        ChannelParams(self.ser)
+        if not 0.0 <= self.ser <= 1.0:
+            raise ValueError("symbol erasure rate must lie in [0, 1]")
         if self.deadline_basis not in ("sent", "received"):
             raise ValueError("deadline_basis must be 'sent' or 'received'")
         if self.deadline is not None and self.deadline < 0:
@@ -158,18 +136,12 @@ class TransmissionTrace:
         return self.undecoded.sum(axis=1)
 
 
-def trial_rng(master_seed, *key) -> np.random.Generator:
-    """Deterministic per-trial stream from the master seed and a spawn key.
-    Keys that differ in length give different streams, trailing zeros too."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
-
-
 def _point_key(ser: float) -> int:
     """Seed key of an erasure rate: the same rate on any grid draws the same trials."""
     return round(ser * 10**6)
 
 
-def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) -> TransmissionTrace:
+def run_trial(config: TrialConfig) -> TransmissionTrace:
     """Run one transmission until full decode, the deadline, or the safety cap.
 
     The feedback policy, unless it is none, is applied after every reception
@@ -177,17 +149,15 @@ def run_trial(config: TrialConfig, rng: Optional[np.random.Generator] = None) ->
     unchanged decoder state changes nothing, so this equals applying it
     before every encoded symbol (ideal, zero-latency feedback).  The source
     block, the encoder and the channel draw from PCG64 substreams spawned
-    from `rng`'s seed sequence (the config's seed when `rng` is None), in
-    that order.  A symbol is built only as far as it is needed: an erased
-    one is its neighbors, a redundant one its neighbors tested against the
-    decoded set, and any other one the XOR of all its neighbors' source
-    payloads, which the decoder strips and peels.  Every decoded payload is
-    checked against the source block before returning.
+    from the config's seed, in that order.  A symbol is built only as far
+    as it is needed: an erased one is its neighbors, a redundant one its
+    neighbors tested against the decoded set, and any other one the XOR of
+    all its neighbors' source payloads, which the decoder strips and peels.
+    Every decoded payload is checked against the source block before
+    returning.
     """
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
-    seq = (np.random.SeedSequence(seed[0], spawn_key=seed[1:]) if rng is None
-           else rng.bit_generator.seed_seq)
-    source, coder, channel = seq.spawn(3)
+    source, coder, channel = np.random.SeedSequence(seed[0], spawn_key=seed[1:]).spawn(3)
     k = config.k
     block = InputBlock.random(k, config.payload_width, np.random.default_rng(source),
                               config.layers)
@@ -340,6 +310,29 @@ def distortion_of_trace(trace: TransmissionTrace, model: RateDistortionModel) ->
 # Experiment drivers
 
 
+@dataclass(frozen=True)
+class Scheme:
+    """A transmission scheme.  `id` keys its trials' seeds; a layered scheme
+    runs on the experiment's two-layer split, any other on the plain block."""
+
+    id: int
+    layered: bool
+    policy: FeedbackPolicy
+
+
+# Ids are fixed per name: a scheme's trials draw the same streams whichever
+# experiment runs it, beside whichever others, in whatever order.
+# no_feedback and single_layer run alike but keep their own streams.
+SCHEMES = {
+    "no_feedback": Scheme(0, False, FeedbackPolicy.none()),
+    "ack_original": Scheme(1, False, FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)),
+    "ack_adaptive": Scheme(2, False, FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)),
+    "single_layer": Scheme(3, False, FeedbackPolicy.none()),
+    "two_layer_no_ack": Scheme(4, True, FeedbackPolicy.none()),
+    "two_layer_layer_ack": Scheme(5, True, FeedbackPolicy.layer_ack()),
+}
+
+
 @dataclass
 class SchemeStats:
     """Aggregates of one scheme across trials."""
@@ -383,35 +376,37 @@ def _aggregate(name: str, traces: list) -> SchemeStats:
     )
 
 
-def _run_batch(groups: list, workers: int, reduce):
-    """Run every (key, configs) group's trials in order and yield (key,
-    reduce(key, traces)) per group, freeing its traces before the next group
-    is collected.  One pool serves the whole batch; none for one worker."""
-    configs = [c for _, group in groups for c in group]
+def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
+                 layers: Optional[LayerConfig] = None, **trial) -> dict:
+    """{name: [reduce(name, traces) at each erasure rate of `grid`]}, over
+    `trials` trials of each named scheme per rate; `trial` holds the other
+    TrialConfig fields.  Names are checked before any trial runs.  One pool
+    serves the whole batch, none for one worker, and each group of traces is
+    reduced and freed before the next one is collected."""
+    unknown = [name for name in schemes if name not in SCHEMES]
+    if unknown:
+        raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(SCHEMES)}")
+    repeated = sorted({name for name in schemes if schemes.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scheme(s) {repeated} named more than once")
+    configs = [
+        TrialConfig(seed=(seed, SCHEMES[name].id, _point_key(ser), t), ser=ser,
+                    layers=layers if SCHEMES[name].layered else None,
+                    policy=SCHEMES[name].policy, **trial)
+        for name in schemes for ser in map(float, grid) for t in range(trials)
+    ]
     pool, traces = None, map(run_trial, configs)
     try:
         if workers > 1 and len(configs) > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
-            # chunks no longer than the shortest group: no worker holds more traces than the caller
-            chunksize = min(len(configs) // (4 * workers), *(len(group) for _, group in groups))
-            traces = pool.map(run_trial, configs, chunksize=max(1, chunksize))
-        for key, group in groups:
-            yield key, reduce(key, list(islice(traces, len(group))))
+            # chunks no longer than a group: no worker holds more traces than the caller
+            chunksize = max(1, min(len(configs) // (4 * workers), trials))
+            traces = pool.map(run_trial, configs, chunksize=chunksize)
+        return {name: [reduce(name, list(islice(traces, trials))) for _ in grid]
+                for name in schemes}
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-
-def _select(catalog: dict, schemes) -> list:
-    """(scheme id, name, entry) of each scheme; the id keys its seeds."""
-    assert catalog.keys() <= SCHEME_IDS.keys(), "every catalogued scheme needs a fixed id"
-    unknown = [name for name in schemes if name not in catalog]
-    if unknown:
-        raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(catalog)}")
-    repeated = sorted({name for name in schemes if schemes.count(name) > 1})
-    if repeated:
-        raise ValueError(f"scheme(s) {repeated} named more than once")
-    return [(SCHEME_IDS[name], name, catalog[name]) for name in schemes]
 
 
 @dataclass
@@ -420,14 +415,6 @@ class SingleLayerExperiment:
     runs: int
     seed: object
     schemes: dict  # name -> SchemeStats
-
-
-def single_layer_policies() -> dict:
-    return {
-        "no_feedback": FeedbackPolicy.none(),
-        "ack_original": FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL),
-        "ack_adaptive": FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE),
-    }
 
 
 def experiment_single_layer_feedback(
@@ -442,15 +429,11 @@ def experiment_single_layer_feedback(
 ) -> SingleLayerExperiment:
     """Compare no feedback, per-symbol ack with the stock distribution, and
     per-symbol ack with the adaptive distribution, on one block size."""
-    catalog = single_layer_policies()
-    groups = [
-        (name, [TrialConfig(k=k, seed=(seed, si, _point_key(ser), t),
-                            payload_width=payload_width, c=c, delta=delta, policy=policy, ser=ser)
-                for t in range(runs)])
-        for si, name, policy in _select(catalog, tuple(catalog))
-    ]
-    results = dict(_run_batch(groups, workers, _aggregate))
-    return SingleLayerExperiment(k=k, runs=runs, seed=seed, schemes=results)
+    results = _run_schemes(("no_feedback", "ack_original", "ack_adaptive"), (ser,), runs, seed,
+                           workers, _aggregate, k=k, c=c, delta=delta,
+                           payload_width=payload_width)
+    return SingleLayerExperiment(k=k, runs=runs, seed=seed,
+                                 schemes={name: stats for name, (stats,) in results.items()})
 
 
 @dataclass
@@ -485,21 +468,11 @@ def experiment_two_layer_ack(
 ) -> TwoLayerExperiment:
     """Two-layer weighted code with and without whole-layer acknowledgment,
     plus an unlayered baseline."""
-    layers = two_layer_config(k, alpha, beta)
-    catalog = {
-        "two_layer_no_ack": (layers, FeedbackPolicy.none()),
-        "two_layer_layer_ack": (layers, FeedbackPolicy.layer_ack()),
-        "single_layer": (None, FeedbackPolicy.none()),
-    }
-    groups = [
-        (name, [TrialConfig(k=k, seed=(seed, si, _point_key(ser), t),
-                            payload_width=payload_width, c=c, delta=delta, layers=layer_cfg,
-                            policy=policy, ser=ser)
-                for t in range(runs)])
-        for si, name, (layer_cfg, policy) in _select(catalog, schemes)
-    ]
-    results = dict(_run_batch(groups, workers, _aggregate))
-    return TwoLayerExperiment(k=k, alpha=alpha, beta=beta, runs=runs, seed=seed, schemes=results)
+    results = _run_schemes(schemes, (ser,), runs, seed, workers, _aggregate,
+                           layers=two_layer_config(k, alpha, beta), k=k, c=c, delta=delta,
+                           payload_width=payload_width)
+    return TwoLayerExperiment(k=k, alpha=alpha, beta=beta, runs=runs, seed=seed,
+                              schemes={name: stats for name, (stats,) in results.items()})
 
 
 @dataclass
@@ -537,34 +510,20 @@ def experiment_deadline_distortion(
     rerun on its own, or on another grid, draws the same trials."""
     if model is None:
         model = RateDistortionModel(alpha=alpha)
-    layers = two_layer_config(k, alpha, beta)
-    deadline = model.deadline_factor * k
     grid = np.asarray(ser_grid, dtype=np.float64)
-    catalog = {
-        "single_layer": (None, FeedbackPolicy.none()),
-        "two_layer_no_ack": (layers, FeedbackPolicy.none()),
-        "two_layer_layer_ack": (layers, FeedbackPolicy.layer_ack()),
-    }
-    groups = [
-        ((name, gi), [TrialConfig(k=k, seed=(seed, si, _point_key(ser), t),
-                                  payload_width=payload_width,
-                                  c=c, delta=delta, layers=layer_cfg, policy=policy,
-                                  ser=float(ser), deadline=deadline, deadline_basis=deadline_basis)
-                      for t in range(seconds)])
-        for si, name, (layer_cfg, policy) in _select(catalog, schemes)
-        for gi, ser in enumerate(grid)
-    ]
-    reduce = lambda key, traces: (
+    reduce = lambda name, traces: (
         [distortion_of_trace(t, model) for t in traces], sum(t.payload_errors for t in traces))
-    per_trial = {name: np.empty((grid.size, seconds)) for name in schemes}
-    errors = 0
-    for (name, gi), (distortions, trial_errors) in _run_batch(groups, workers, reduce):
-        per_trial[name][gi] = distortions
-        errors += trial_errors
+    results = _run_schemes(schemes, grid, seconds, seed, workers, reduce,
+                           layers=two_layer_config(k, alpha, beta), k=k, c=c, delta=delta,
+                           payload_width=payload_width, deadline=model.deadline_factor * k,
+                           deadline_basis=deadline_basis)
+    per_trial = {name: np.array([d for d, _ in points]).reshape(grid.size, seconds)
+                 for name, points in results.items()}
     return DistortionExperiment(
         k=k, alpha=alpha, beta=beta, ser_grid=grid, seconds=seconds, seed=seed,
         mean_distortion={name: d.mean(axis=1) for name, d in per_trial.items()},
-        per_trial=per_trial, payload_errors=errors,
+        per_trial=per_trial,
+        payload_errors=sum(e for points in results.values() for _, e in points),
     )
 
 

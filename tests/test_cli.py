@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
 from oracles import sample_degrees, weighted_strip_counts
 
 
-def trial_forbidden(config, rng=None):
+def trial_forbidden(config):
     raise AssertionError("a trial ran before the configuration was checked")
 
 
@@ -134,6 +136,23 @@ SIMULATE_CHECKSUMS = {
                    "3a0b6709e3b416eeae9a9f7aa9ad41c34c08e096feda2202a5aef2d2d50c513c"),
 }
 
+# One small run of every command, each to be rerun from its manifest.
+MANIFEST_RUNS = {
+    "analyze-reduced": ["analyze", "reduced", "--k", "30"],
+    "analyze-reduced-acked": ["analyze", "reduced-acked", "--k", "30", "--undecoded", "10"],
+    "analyze-adaptive": ["analyze", "adaptive", "--k", "30", "--undecoded", "10"],
+    "analyze-two-layer": ["analyze", "two-layer", "--k", "30", "--grid-step", "5"],
+    "analyze-n-layer": ["analyze", "n-layer", "--k", "30", "--layer-sizes", "10,10,10",
+                        "--undecoded", "0,5,10"],
+    "simulate-single": ["simulate", "single", "--k", "50", "--runs", "4", "--seed", "3",
+                        "--threads", "1"],
+    "simulate-two-layer": ["simulate", "two-layer", "--k", "40", "--runs", "3", "--seed", "4",
+                           "--ack", "layer", "--no-baseline", "--ser", "0.2", "--threads", "1"],
+    "simulate-distortion": ["simulate", "distortion", "--k", "30", "--seconds", "3",
+                            "--seed", "6", "--ser", "0:0.3:0.9", "--deadline-basis", "received",
+                            "--threads", "1"],
+}
+
 
 class TestSimulateCommands:
     def test_byte_identical_reruns(self, tmp_path):
@@ -144,14 +163,14 @@ class TestSimulateCommands:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_manifest_reproduces_output(self, tmp_path):
+    @pytest.mark.parametrize("run", sorted(MANIFEST_RUNS))
+    def test_manifest_reproduces_output(self, tmp_path, run):
+        args = MANIFEST_RUNS[run]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["simulate", "single", "--k", "50", "--runs", "4", "--seed", "3",
-                     "--threads", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out1)]) == 0
         manifest = out1.with_suffix(".csv.manifest.json")
         assert manifest.exists()
-        assert main(["simulate", "single", "--config", str(manifest),
-                     "--out", str(out2)]) == 0
+        assert main(args[:2] + ["--config", str(manifest), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_manifest_records_parameters(self, tmp_path):
@@ -269,6 +288,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
+
+    def test_benchmark_tracer_finds_every_name_it_wraps(self):
+        # the tracer replaces package names by getattr; a renamed one breaks --trace 1
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(str(root / d) for d in ("src", "perfbench")))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import ltfeedback, ltfeedback.cli, tracing; tracing.install(ltfeedback)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LTFEEDBACK_OUTDIR", str(tmp_path))

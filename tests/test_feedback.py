@@ -120,11 +120,12 @@ class TestPerSymbolAck:
         assert n_redundant == 0
         assert chi_square_pvalue(observed, expected / expected.sum()) > 0.01
 
-    def test_rejects_foreign_indices(self):
+    @pytest.mark.parametrize("foreign", [{99}, {-1}], ids=["past_end", "negative"])
+    def test_rejects_foreign_indices(self, foreign):
         rng = np.random.default_rng(7)
         enc = make_encoder(10, rng)
         with pytest.raises(ValueError):
-            apply_feedback(enc, snapshot_of({99}), FeedbackPolicy.per_symbol_ack())
+            apply_feedback(enc, snapshot_of(foreign), FeedbackPolicy.per_symbol_ack())
 
 
 class TestLayerAck:

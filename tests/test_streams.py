@@ -12,13 +12,18 @@ from hypothesis import strategies as st
 from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
 from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
 from ltfeedback.feedback import DistributionMode, FeedbackKind, FeedbackPolicy
-from ltfeedback.simulator import (TransmissionTrace, TrialConfig, run_trial, trial_rng,
-                                  two_layer_config)
+from ltfeedback.simulator import TransmissionTrace, TrialConfig, run_trial, two_layer_config
 from oracles import chi_square_pvalue, lemire_scalar, scalar_draw, scalar_run_trial
 
 LAYERS = two_layer_config(80, 0.5, 9.0)
 ORIGINAL = FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)
 ADAPTIVE = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+
+
+def trial_rng(master_seed, *key) -> np.random.Generator:
+    """The stream a trial seeded (master seed, *key) spawns its substreams from."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+
 
 TRIALS = {
     "no_feedback": TrialConfig(k=80, seed=1),
