@@ -15,7 +15,7 @@ that substream, so acknowledgments never force a refill.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
@@ -86,36 +86,55 @@ def _lemire_index(bound: int, word: Callable[[], int]) -> int:
 
 
 class InputBlock:
-    """k fixed-width payloads, optionally partitioned into priority layers."""
+    """k fixed-width payloads, optionally partitioned into priority layers.
 
-    __slots__ = ("k", "width", "symbols", "layers", "_ints")
+    The payloads are kept as bytes, `symbols`, and as big-endian ints,
+    `payload_ints()`; a block built from one form makes the other on first
+    use."""
+
+    __slots__ = ("k", "width", "layers", "_symbols", "_ints")
 
     def __init__(self, symbols, layers: Optional[LayerConfig] = None):
         symbols = list(symbols)
         if not symbols:
             raise ValueError("block must contain at least one symbol")
         width = len(symbols[0])
-        if width < 1:
-            raise ValueError("payload width must be >= 1")
         if any(len(s) != width for s in symbols):
             raise ValueError("all payloads must share the same width")
-        if layers is not None and layers.k != len(symbols):
+        self._setup(len(symbols), width, layers)
+        self._symbols = [bytes(s) for s in symbols]
+
+    def _setup(self, k: int, width: int, layers: Optional[LayerConfig]):
+        if width < 1:
+            raise ValueError("payload width must be >= 1")
+        if layers is not None and layers.k != k:
             raise ValueError("layer sizes must sum to the block length")
-        self.k = len(symbols)
-        self.width = width
-        self.symbols = [bytes(s) for s in symbols]
-        self.layers = layers
-        self._ints = None
+        self.k, self.width, self.layers = k, width, layers
+        self._symbols = self._ints = None
 
     @classmethod
     def random(cls, k: int, width: int, rng: np.random.Generator,
                layers: Optional[LayerConfig] = None) -> "InputBlock":
+        """k payloads of `width` bytes from one rng.bytes(k * width) call,
+        converted to ints straight from the drawn bytes."""
+        if k < 1:
+            raise ValueError("block must contain at least one symbol")
+        block = cls.__new__(cls)
+        block._setup(k, width, layers)
         raw = rng.bytes(k * width)
-        return cls([raw[i * width:(i + 1) * width] for i in range(k)], layers)
+        block._ints = [int.from_bytes(raw[i:i + width], "big")
+                       for i in range(0, k * width, width)]
+        return block
+
+    @property
+    def symbols(self) -> list[bytes]:
+        if self._symbols is None:
+            self._symbols = [v.to_bytes(self.width, "big") for v in self._ints]
+        return self._symbols
 
     def payload_ints(self) -> list[int]:
         if self._ints is None:
-            self._ints = [int.from_bytes(s, "big") for s in self.symbols]
+            self._ints = [int.from_bytes(s, "big") for s in self._symbols]
         return self._ints
 
 
@@ -154,6 +173,7 @@ class Encoder:
         self._word = _word_stream(np.random.default_rng(indices))
         self.dist_builder = dist_builder
         self._payloads = block.payload_ints()
+        self._bounds = (0, block.k) if block.layers is None else block.layers.boundaries()
         self._acked: set[int] = set()
         self._sequence = 0
         self.acked_layers: set[int] = set()
@@ -192,48 +212,64 @@ class Encoder:
         return self._eligible
 
     def _rebuild_groups(self):
-        """Parallel lists over the layers with eligible members; a draw parks
-        its picks behind the first `_counts[g]` members of pool g."""
+        """Every layer's eligible indices, ascending, rebuilt from `_acked`."""
+        bounds, acked = self._bounds, self._acked
+        self._ascending = [[i for i in range(lo, hi) if i not in acked]
+                           for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._set_groups()
+
+    def _set_groups(self):
+        """Parallel lists over the layers with eligible members, each pool a
+        copy of its ascending list; a draw parks its picks behind the first
+        `_counts[g]` members of pool g."""
         layers = self.block.layers
-        if layers is None:
-            ranges = [(0, self.block.k)]
-            weights = [1.0]
-        else:
-            bounds = layers.boundaries()
-            ranges = list(zip(bounds[:-1], bounds[1:]))
-            weights = list(layers.weight_ratios)
-        groups = [(w, [i for i in range(lo, hi) if i not in self._acked])
-                  for (lo, hi), w in zip(ranges, weights)]
-        groups = [(w, members) for w, members in groups if members]
+        weights = (1.0,) if layers is None else layers.weight_ratios
+        groups = [(w, members) for w, members in zip(weights, self._ascending) if members]
         # A single selection class needs no weighting.
         self._weights = [1.0] if len(groups) == 1 else [w for w, _ in groups]
-        self._pools = [members for _, members in groups]
+        self._pools = [members[:] for _, members in groups]
         self._counts = [len(members) for members in self._pools]
         self._masses = [w * c for w, c in zip(self._weights, self._counts)]
         self._eligible = sum(self._counts)
 
     def ack_indices(self, decoded):
-        """Exclude the given input indices from all future symbols."""
-        decoded = set(decoded)
-        if decoded and (min(decoded) < 0 or max(decoded) >= self.block.k):
+        """Exclude the given input indices from all future symbols.  A set
+        holding every index acknowledged so far removes only its new indices
+        from the ascending lists; any other set replaces the acknowledged
+        set and rebuilds them.  Either way every pool restarts ascending."""
+        decoded = frozenset(decoded)  # no copy of a frozenset
+        acked = self._acked
+        new = decoded - acked  # indices in acked were checked when they came
+        if new and (min(new) < 0 or max(new) >= self.block.k):
             raise ValueError("acknowledged indices outside the block")
-        self._acked = decoded
-        self._rebuild_groups()
+        if len(decoded) - len(new) < len(acked):
+            self._acked = set(decoded)
+            self._rebuild_groups()
+            return
+        bounds, ascending = self._bounds, self._ascending
+        for i in new:
+            members = ascending[bisect_right(bounds, i) - 1]
+            del members[bisect_left(members, i)]
+        acked |= new
+        self._set_groups()
 
     def ack_layer(self, layer: int):
         """Exclude an entire layer from future symbols; remaining layers
         keep their relative weights (uniform once only one is left)."""
-        layers = self.block.layers
-        if layers is None:
+        if self.block.layers is None:
             raise ValueError("block has no layers to acknowledge")
-        bounds = layers.boundaries()
+        bounds = self._bounds
         self._acked.update(range(bounds[layer], bounds[layer + 1]))
         self._rebuild_groups()
         self.acked_layers.add(layer)
         self.layer_acks_fired += 1
 
-    # Both draws read index words by position, Lemire's method inlined.  A low
+    # The draws read index words by position, Lemire's method inlined.  A low
     # word below the bound may be rejected: that index is drawn word by word.
+    # A weighted pick reads one layer uniform u and takes the first layer g
+    # with u * total < masses[0] + ... + masses[g].  Rounding in the running
+    # total can point at an exhausted layer, past the last live one or, once
+    # the total falls below 0, at the first: the nearest live layer is taken.
 
     def _draw_uniform(self, degree: int) -> list[int]:
         members, n = self._pools[0], self._counts[0]
@@ -252,28 +288,74 @@ class Encoder:
         stream.pos = pos
         return members[n - degree:n]
 
-    def _draw_weighted(self, degree: int) -> list[int]:
-        weights, pools = self._weights, self._pools
-        counts, masses = self._counts[:], self._masses[:]
-        total, last_group = sum(masses), len(pools) - 1
+    def _layer_uniforms(self, degree: int) -> list[float]:
+        """The next `degree` layer uniforms, one per pick of a symbol."""
         group_u = self._group_u
         uniforms, first = group_u.ahead(degree), group_u.pos
         group_u.pos = first + degree
+        return uniforms[first:first + degree]
+
+    def _draw_two_layers(self, degree: int) -> list[int]:
+        """`_draw_weighted` on two layers, with its state in locals and the
+        same float operations in the same order.  At a low word below its
+        bound it hands the rest of the symbol to `_draw_weighted`."""
+        uniforms = self._layer_uniforms(degree)
+        (w0, w1), (pool0, pool1) = self._weights, self._pools
+        n0, n1 = c0, c1 = self._counts
+        mass0 = self._masses[0]
+        total = mass0 + self._masses[1]
         stream, mask = self._word, _MASK
         words, pos = stream.ahead(degree), stream.pos
-        for u in uniforms[first:first + degree]:
+        for u in uniforms:
+            if u * total < mass0 and c0 or not c1:
+                m = words[pos] * c0
+                if m & mask < c0:
+                    break
+                c0 -= 1
+                j = m >> 64
+                pool0[j], pool0[c0] = pool0[c0], pool0[j]
+                mass0 = w0 * c0
+                total -= w0
+            else:
+                m = words[pos] * c1
+                if m & mask < c1:
+                    break
+                c1 -= 1
+                j = m >> 64
+                pool1[j], pool1[c1] = pool1[c1], pool1[j]
+                total -= w1
+            pos += 1
+        else:
+            stream.pos = pos
+            return pool0[c0:n0] + pool1[c1:n1]
+        stream.pos = pos
+        done = n0 - c0 + n1 - c1
+        return self._draw_weighted(uniforms[done:], [c0, c1], [mass0, w1 * c1], total)
+
+    def _draw_weighted(self, uniforms: list[float], counts: list[int],
+                       masses: list[float], total: float) -> list[int]:
+        """The rest of a symbol: one pick per layer uniform in `uniforms`,
+        from the pools' first `counts` members, whose weighted `masses` sum
+        to `total`.  Returns every pick of the symbol."""
+        weights, pools = self._weights, self._pools
+        last_group = len(pools) - 1
+        stream, mask = self._word, _MASK
+        words, pos = stream.ahead(len(uniforms)), stream.pos
+        for u in uniforms:
             u *= total
             gi = 0
             acc = masses[0]
-            while u >= acc and gi < last_group:
+            while (u >= acc or not counts[gi]) and gi < last_group:
                 gi += 1
                 acc += masses[gi]
+            while not counts[gi]:
+                gi -= 1
             bound = counts[gi]
             m = words[pos] * bound
             if m & mask < bound:
                 stream.pos = pos
                 j = _lemire_index(bound, stream)
-                words, pos = stream.ahead(degree), stream.pos
+                words, pos = stream.ahead(len(uniforms)), stream.pos
             else:
                 j, pos = m >> 64, pos + 1
             members = pools[gi]
@@ -302,9 +384,13 @@ class Encoder:
         degree = min(bisect_right(self._cdf, u.values[u.pos]), self._distribution.k, m)
         u.pos += 1
         self._sequence += 1
-        if len(self._pools) == 1:
+        n_pools = len(self._pools)
+        if n_pools == 1:
             return self._draw_uniform(degree)
-        return self._draw_weighted(degree)
+        if n_pools == 2:
+            return self._draw_two_layers(degree)
+        return self._draw_weighted(self._layer_uniforms(degree), self._counts[:],
+                                   self._masses[:], sum(self._masses))
 
     def encode_next(self) -> OutputSymbol:
         """Emit the next output symbol."""
@@ -324,6 +410,19 @@ class ReceiveResult(NamedTuple):
 
 
 _REDUNDANT = ReceiveResult(0, 0, True)
+
+
+class _Zeros:
+    """A payload table of zeros: what `Decoder.receive` XORs in, since its
+    symbols arrive with the XOR of their neighbors built."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index: int) -> int:
+        return 0
+
+
+_ZEROS = _Zeros()
 
 
 class DecoderSnapshot:
@@ -363,7 +462,7 @@ class Decoder:
     Symbol s is entry s of flat lists: its count of undecoded neighbors, the
     XOR of their indices (at a count of one, the last neighbor) and its
     payload stripped of decoded neighbors.  `_holders[i]` lists the symbols
-    that arrived with input i undecoded."""
+    that arrived with input i undecoded, and None once i is decoded."""
 
     def __init__(self, k: int, width: int, layers: Optional[LayerConfig] = None):
         if layers is not None and layers.k != k:
@@ -422,34 +521,35 @@ class Decoder:
             raise ValueError("output symbol must have at least one neighbor")
         if min(neighbors) < 0 or max(neighbors) >= self.k:
             raise ValueError("symbol references indices outside the block")
-        unknown = neighbors.difference(self._decoded)
-        if not unknown:
-            self.redundant_count += 1
-            return _REDUNDANT
-        newly = self._add(neighbors, unknown, int.from_bytes(sym.payload, "big"))
-        return ReceiveResult(newly, len(unknown), False)
+        reduced, newly = self._add(neighbors, int.from_bytes(sym.payload, "big"), _ZEROS)
+        return ReceiveResult(newly, reduced, False) if reduced else _REDUNDANT
 
-    def _add(self, neighbors, unknown: set, value: int) -> int:
-        """Buffer a symbol whose payload is `value`, the XOR over all of
-        `neighbors`, of which the nonempty `unknown` are undecoded: strip the
-        decoded neighbors from its payload, then peel.  Returns the number
-        of inputs decoded."""
-        decoded = self._decoded
-        if len(unknown) < len(neighbors):
-            for v in neighbors:
-                if v not in unknown:
-                    value ^= decoded[v]
+    def _add(self, neighbors, value: int, payloads) -> tuple[int, int]:
+        """Take in one arrival in one pass over its distinct `neighbors`:
+        XOR every neighbor's `payloads` entry into `value`, strip the decoded
+        neighbors from it, and register the symbol with the undecoded ones;
+        then buffer it and peel.  Returns (reduced degree at arrival, inputs
+        decoded).  A redundant arrival, reduced degree 0, is counted and
+        buffers nothing."""
+        decoded, holders = self._decoded, self._holders
         sid = len(self._left)
-        index_xor = 0
-        holders = self._holders
-        for v in unknown:
-            index_xor ^= v
-            holders[v].append(sid)
-        reduced = len(unknown)
+        reduced = index_xor = 0
+        for v in neighbors:
+            value ^= payloads[v]
+            waiting = holders[v]
+            if waiting is None:  # decoded
+                value ^= decoded[v]
+            else:
+                waiting.append(sid)
+                index_xor ^= v
+                reduced += 1
+        if not reduced:
+            self.redundant_count += 1
+            return 0, 0
         self._left.append(reduced)
         self._index_xor.append(index_xor)
         self._value.append(value)
-        return self._drain(sid) if reduced == 1 else 0
+        return reduced, self._drain(sid) if reduced == 1 else 0
 
     def _drain(self, first: int) -> int:
         left, index_xor, values = self._left, self._index_xor, self._value

@@ -150,11 +150,11 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     before every encoded symbol (ideal, zero-latency feedback).  The source
     block, the encoder and the channel draw from PCG64 substreams spawned
     from the config's seed, in that order.  A symbol is built only as far
-    as it is needed: an erased one is its neighbors, a redundant one its
-    neighbors tested against the decoded set, and any other one the XOR of
-    all its neighbors' source payloads, which the decoder strips and peels.
-    Every decoded payload is checked against the source block before
-    returning.
+    as it is needed: an erased one is its neighbors, and an arrival is
+    taken in by the decoder in one pass over its neighbors.  At erasure
+    rate 1 no symbol can arrive, so none is drawn and the trial runs out
+    its deadline at once.  Every decoded payload is checked against the
+    source block before returning.
     """
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     source, coder, channel = np.random.SeedSequence(seed[0], spawn_key=seed[1:]).spawn(3)
@@ -164,7 +164,7 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
     encoder = Encoder(block, builder(k), np.random.default_rng(coder), dist_builder=builder)
     ser = config.ser
-    erasure_draw = np.random.default_rng(channel).random if ser > 0.0 else None
+    erasure_draw = np.random.default_rng(channel).random if 0.0 < ser < 1.0 else None
     decoder = Decoder(k, config.payload_width, config.layers)
     layer_sizes = (k,) if config.layers is None else config.layers.layer_sizes
     n_layers = len(layer_sizes)
@@ -186,6 +186,10 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     by_sent = config.deadline_basis == "sent"
     policy = config.policy
     feedback = policy.kind is not FeedbackKind.NONE
+    if ser >= 1.0 and by_sent:  # TrialConfig has required a deadline
+        if deadline > _SAFETY_CAP:
+            raise RuntimeError("trial exceeded the sent-symbol safety cap")
+        sent = deadline  # every symbol would be erased: the loop ends at once
 
     while completion_sent is None:
         if deadline is not None:
@@ -203,15 +207,10 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
                 continue
         received += 1
         rec_sent.append(sent)
-        unknown = {v for v in neighbors if v not in decoded}
-        if not unknown:
-            decoder.redundant_count += 1
-            redundant_at.append(received - 1)
-            continue
-        value = 0
-        for i in neighbors:
-            value ^= payloads[i]
-        if not add(neighbors, unknown, value):
+        reduced, newly = add(neighbors, 0, payloads)
+        if not newly:
+            if not reduced:
+                redundant_at.append(received - 1)
             continue
         undecoded = decoder.undecoded_per_layer
         decode_events.append((received, undecoded))
@@ -225,18 +224,17 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
         elif feedback:
             apply_feedback(encoder, decoder.snapshot(), policy)
 
-    errors = sum(
-        1 for i, payload in decoder.decoded_payloads().items() if block.symbols[i] != payload
-    )
+    errors = sum(1 for i, value in decoded.items() if payloads[i] != value)
 
-    # Expand the decode events to one row per reception: a row holds until the next event.
-    rec_undecoded: list[tuple] = []
-    row = layer_sizes
+    # Expand the decode events to one row per reception, flat: a row holds
+    # until the next event.
+    rec_undecoded: list[int] = []
+    row, rows = layer_sizes, 0
     for reception, after in decode_events:
-        rec_undecoded += [row] * (reception - 1 - len(rec_undecoded))
-        row = after
-        rec_undecoded.append(row)
-    rec_undecoded += [row] * (received - len(rec_undecoded))
+        rec_undecoded += row * (reception - 1 - rows)
+        rec_undecoded += after
+        row, rows = after, reception
+    rec_undecoded += row * (received - rows)
     rec_redundant = [False] * received
     for r in redundant_at:
         rec_redundant[r] = True

@@ -376,7 +376,9 @@ def scalar_draw(groups, degree, next_uniform, next_word):
     """`degree` distinct neighbors from `groups`, a list of [weight, members]:
     per pick, a uniform chooses the group (unless there is only one) and a
     Lemire index the member, which is swapped behind the group's undrawn
-    members.  The swaps persist in `members`, as in the encoder."""
+    members.  The swaps persist in `members`, as in the encoder.  A group
+    whose members are all drawn is never chosen, even where rounding in the
+    running total points at it."""
     if len(groups) == 1:
         members = groups[0][1]
         n = len(members)
@@ -390,9 +392,11 @@ def scalar_draw(groups, degree, next_uniform, next_word):
     for _ in range(degree):
         u = next_uniform() * total
         gi, acc = 0, groups[0][0] * counts[0]
-        while u >= acc and gi + 1 < len(groups):
+        while (u >= acc or counts[gi] == 0) and gi + 1 < len(groups):
             gi += 1
             acc += groups[gi][0] * counts[gi]
+        while counts[gi] == 0:
+            gi -= 1
         weight, members = groups[gi]
         j = lemire_scalar(counts[gi], next_word)
         last = counts[gi] - 1

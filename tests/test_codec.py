@@ -114,6 +114,27 @@ class TestEncoder:
             with pytest.raises(ValueError):
                 enc.ack_indices(bad)
 
+    @pytest.mark.parametrize("layers", [None, LayerConfig((15, 25), (3.0, 1.0))])
+    def test_incremental_ack_equals_rebuild(self, layers):
+        # growing sets remove only their new indices, a set that drops an
+        # acked index rebuilds; either way the state equals a fresh encoder's
+        # rebuilt from the same set, pools ascending again
+        rng = np.random.default_rng(12)
+        block = InputBlock.random(40, 8, rng, layers)
+        dist = robust_soliton(RsdParams(40, 0.1, 1.0))
+        enc = Encoder(block, dist, rng)
+        acks = [{3}, {3, 17, 30}, {3, 17, 30}, set(range(15)) | {30}, {1, 2}, set(range(39))]
+        for acked in acks:
+            for _ in range(5):
+                enc.encode_next()  # draws leave the pools out of order
+            enc.ack_indices(acked)
+            fresh = Encoder(block, dist, np.random.default_rng(0))
+            fresh._acked = set(acked)
+            fresh._rebuild_groups()
+            for name in ("_acked", "_pools", "_counts", "_masses", "_weights"):
+                assert getattr(enc, name) == getattr(fresh, name), name
+            assert enc.eligible_count == 40 - len(acked)
+
     def test_acked_indices_never_appear(self):
         rng = np.random.default_rng(7)
         block = InputBlock.random(40, 8, rng)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ltfeedback import simulator
-from ltfeedback.codec import Encoder, InputBlock
+from ltfeedback.codec import Decoder, Encoder, InputBlock
 from ltfeedback.degree import RsdParams, reduced_degree_dist, robust_soliton
 from ltfeedback.feedback import DistributionMode, FeedbackPolicy
 from ltfeedback.simulator import (
@@ -77,6 +77,36 @@ class TestRunTrial:
         ]
         for config in configs:
             assert run_trial(config).payload_errors == 0
+
+    def test_wrong_decoded_value_is_reported(self, monkeypatch):
+        # the input the first ripple symbol decodes gets a flipped bit: the
+        # int-based payload check must still see it
+        drain, corrupted = Decoder._drain, []
+
+        def corrupting_drain(self, first):
+            if not corrupted:
+                self._value[first] ^= 1
+                corrupted.append(first)
+            return drain(self, first)
+
+        monkeypatch.setattr(Decoder, "_drain", corrupting_drain)
+        trace = run_trial(TrialConfig(k=50, seed=3))
+        assert corrupted and trace.payload_errors >= 1
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_total_erasure_draws_no_symbol(self, monkeypatch, over):
+        # a deadline past the safety cap raises at once, one at the cap ends
+        # at once: neither draws a symbol that could never arrive
+        def no_draw(self):
+            raise AssertionError("a symbol was drawn at erasure rate 1")
+
+        monkeypatch.setattr(Encoder, "next_neighbors", no_draw)
+        config = TrialConfig(k=10, seed=0, ser=1.0, deadline=simulator._SAFETY_CAP + over)
+        if over:
+            with pytest.raises(RuntimeError, match="safety cap"):
+                run_trial(config)
+        else:
+            assert run_trial(config).sent_total == simulator._SAFETY_CAP
 
     def test_deterministic_for_fixed_seed(self):
         config = TrialConfig(k=70, seed=11, ser=0.1)

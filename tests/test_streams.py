@@ -93,6 +93,16 @@ def trial_configs(draw, policy):
                        deadline_basis=draw(st.sampled_from(["sent", "received"])))
 
 
+def assert_traces_equal(fast, slow):
+    for field in dataclasses.fields(TransmissionTrace):
+        a, b = getattr(fast, field.name), getattr(slow, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @settings(max_examples=30)
 @given(data=st.data())
@@ -101,14 +111,20 @@ def test_every_trace_field_equals_scalar_oracle(policy, data):
     # a decode event: the traces agree only if the two timings are equivalent
     config = data.draw(trial_configs(POLICIES[policy]))
     fast, slow = run_trial(config), scalar_run_trial(config)
-    for field in dataclasses.fields(TransmissionTrace):
-        a, b = getattr(fast, field.name), getattr(slow, field.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, field.name
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
+    assert_traces_equal(fast, slow)
     assert fast.payload_errors == 0
+
+
+@pytest.mark.parametrize("layered", [False, True])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_total_erasure_trace_equals_scalar_oracle(policy, layered):
+    # run_trial draws no symbol at erasure rate 1; the oracle draws and
+    # erases every one up to the deadline
+    config = TrialConfig(k=80, seed=(13, 4, 10**6, 0), layers=LAYERS if layered else None,
+                         policy=POLICIES[policy], ser=1.0, deadline=150)
+    fast, slow = run_trial(config), scalar_run_trial(config)
+    assert_traces_equal(fast, slow)
+    assert fast.sent_total == 150
 
 
 def test_large_degree_case_draws_degrees_above_256():
@@ -235,32 +251,138 @@ class TestBufferedDraw:
         "kept_below_bound": (100, None, 0),
     }
 
+    def check_against_scalar_draw(self, words, start, degree, layers, uniforms):
+        """The encoder's next symbol on `words` from `start` and on the layer
+        uniforms `uniforms` equals `scalar_draw`'s, with the same pools after
+        it and the same next word.  Returns the words the symbol read."""
+        enc = self.encoder_on(words, start, degree, layers)
+        if layers is None:
+            groups = [[1.0, list(range(self.K))]]
+        else:
+            enc._group_u.values, enc._group_u.pos = list(uniforms), 0
+            bounds = layers.boundaries()
+            groups = [[w, list(range(lo, hi))]
+                      for w, lo, hi in zip(layers.weight_ratios, bounds, bounds[1:])]
+        read = []
+        next_word = lambda: read.append(words[start + len(read)]) or read[-1]
+        expected = scalar_draw(groups, degree, iter(uniforms).__next__, next_word)
+        assert enc.encode_next().neighbors == frozenset(expected)
+        assert enc._pools == [members for _, members in groups]
+        assert enc._word() == words[start + len(read)]  # no word skipped or read twice
+        return read
+
+    def case_words(self, case, bound):
+        """The case's start and index words, and how many it rejects."""
+        start, second, rejected = self.CASES[case]
+        if second is None:
+            # its low product, bound - 1, enters the rejection branch but
+            # is at least 2^64 mod bound, so the word is kept
+            second = [(bound - 1) * pow(bound, -1, 2**64) % 2**64]
+        rng = np.random.default_rng(42)
+        words = rng.integers(1, 2**64, size=768, dtype=np.uint64).tolist()
+        words[start + 1:start + 1 + len(second)] = second
+        return start, words, rejected
+
     @pytest.mark.parametrize("layered", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rejected_words_match_scalar_draw(self, case, layered):
         # the symbol's picks have bounds 10, 9, 8, 7, or 6, 5, 4, 3 in the
         # 6-member layer that layer-group uniforms of 0.99 always choose
-        degree, (start, second, rejected) = 4, self.CASES[case]
-        if second is None:
-            # its low product, bound - 1, enters the rejection branch but
-            # is at least 2^64 mod bound, so the word is kept
-            bound = 5 if layered else 9
-            second = [(bound - 1) * pow(bound, -1, 2**64) % 2**64]
-        rng = np.random.default_rng(42)
-        words = rng.integers(1, 2**64, size=768, dtype=np.uint64).tolist()
-        words[start + 1:start + 1 + len(second)] = second
+        degree = 4
+        start, words, rejected = self.case_words(case, 5 if layered else 9)
         layers = self.LAYERS if layered else None
-        enc = self.encoder_on(words, start, degree, layers)
-        uniforms = [0.99] * degree
-        if layered:
-            enc._group_u.values, enc._group_u.pos = list(uniforms), 0
-            groups = [[3.0, list(range(4))], [1.0, list(range(4, 10))]]
-        else:
-            groups = [[1.0, list(range(self.K))]]
-        read = []
-        next_word = lambda: read.append(words[start + len(read)]) or read[-1]
-        expected = scalar_draw(groups, degree, iter(uniforms).__next__, next_word)
+        read = self.check_against_scalar_draw(words, start, degree, layers, [0.99] * degree)
         assert len(read) == degree + rejected
-        assert enc.encode_next().neighbors == frozenset(expected)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejected_words_match_scalar_draw_on_three_layers(self, case):
+        # masses 18, 6, 6: uniforms of 0.99 always choose the 6-member layer,
+        # so the picks have bounds 6, 5, 4, 3 as on two layers
+        degree = 4
+        start, words, rejected = self.case_words(case, 5)
+        layers = LayerConfig((2, 2, 6), (9.0, 3.0, 1.0))
+        read = self.check_against_scalar_draw(words, start, degree, layers, [0.99] * degree)
+        assert len(read) == degree + rejected
+
+    @pytest.mark.parametrize("pick", [2, 4])
+    @pytest.mark.parametrize("layers", [LAYERS, LayerConfig((3, 3, 4), (9.0, 3.0, 1.0))],
+                             ids=["two_layers", "three_layers"])
+    def test_word_rejected_late_in_a_weighted_symbol(self, layers, pick):
+        # the uniforms pick from every layer, so by the third or fifth pick
+        # the counts, the masses and the running total have all moved
+        uniforms = [0.05, 0.95, 0.7, 0.8, 0.99, 0.6]
+        rng = np.random.default_rng(43)
+        words = rng.integers(1, 2**64, size=768, dtype=np.uint64).tolist()
+        start = 100
+        words[start + pick] = 0
+        read = self.check_against_scalar_draw(words, start, len(uniforms), layers, uniforms)
+        assert len(read) == len(uniforms) + 1
+
+    # case: (layers, layer uniforms) of a symbol of degree K
+    EXHAUSTED = {
+        # uniforms just below 1 take the 6-member last layer until it is
+        # empty; u * total, rounded, then still reaches the other layers' mass
+        "top_two_layers": (LayerConfig((4, 6), (0.3, 1.0)), [1 - 2**-53] * 10),
+        "top_three_layers": (LayerConfig((2, 2, 6), (0.3, 0.7, 1.0)), [1 - 2**-53] * 10),
+        # uniforms of 0 empty the heavy first layer; the running total then
+        # rounds to -2^18, so u * total falls below that layer's mass of 0
+        "negative_total_two_layers": (LayerConfig((3, 7), (9.59e20, 3.0)), [0.0] * 3 + [0.5] * 7),
+        "negative_total_three_layers": (LayerConfig((3, 3, 4), (9.59e20, 3.0, 3.0)),
+                                        [0.0] * 3 + [0.5] * 7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXHAUSTED))
+    def test_exhausted_layer_is_never_drawn(self, case):
+        layers, uniforms = self.EXHAUSTED[case]
+        rng = np.random.default_rng(44)
+        words = rng.integers(1, 2**64, size=768, dtype=np.uint64).tolist()
+        read = self.check_against_scalar_draw(words, 100, self.K, layers, uniforms)
+        assert len(read) == self.K
+
+
+def assert_draws_equal_scalar_draw(layers, words=None):
+    """2000 symbols of an encoder on `layers` equal `scalar_draw`'s on the
+    same substreams: the neighbors, the pools after each symbol and the
+    stream positions after the last.  `words`, when given, replaces the
+    index substream, in 256-word blocks."""
+    k = layers.k
+    block = InputBlock.random(k, 2, np.random.default_rng(50), layers)
+    dist = robust_soliton(RsdParams(k, 0.1, 1.0))
+    enc = Encoder(block, dist, np.random.default_rng(np.random.SeedSequence(51)))
+    degree_rng, group_rng, index_rng = map(np.random.default_rng,
+                                           np.random.SeedSequence(51).spawn(3))
+    next_word = index_rng.bit_generator.random_raw
+    if words is not None:
+        blocks = iter(words.reshape(-1, 256))
+        enc._word.draw = lambda n: next(blocks)
+        next_word = iter(words.tolist()).__next__
+    bounds = layers.boundaries()
+    groups = [[w, list(range(lo, hi))]
+              for w, lo, hi in zip(layers.weight_ratios, bounds, bounds[1:])]
+    for _ in range(2000):
+        degree = min(int(np.searchsorted(dist.cdf, degree_rng.random(), side="right")), k)
+        expected = scalar_draw(groups, degree, group_rng.random, next_word)
+        assert sorted(enc.next_neighbors()) == sorted(expected)
         assert enc._pools == [members for _, members in groups]
-        assert enc._word() == words[start + len(read)]  # no word skipped or read twice
+    assert enc._degree_u() == degree_rng.random()
+    assert enc._group_u() == group_rng.random()
+    assert enc._word() == next_word()
+
+
+@pytest.mark.parametrize("sizes", [(1, 9), (9, 1), (1, 60), (35, 45)])
+@pytest.mark.parametrize("weights", [(0.3, 0.7), (2.5, 1.0), (1 / 3, 1.0)])
+def test_two_layer_draw_equals_scalar_draw(weights, sizes):
+    # non-integer weights, down to one-member layers
+    assert_draws_equal_scalar_draw(LayerConfig(sizes, weights))
+
+
+@pytest.mark.parametrize("layers", [LayerConfig((30, 50), (2.5, 1.0)),
+                                    LayerConfig((20, 25, 35), (1 / 3, 1.0, 0.3))],
+                         ids=["two_layers", "three_layers"])
+def test_draws_with_frequent_low_words_equal_scalar_draw(layers):
+    # a fifth of the index words are 0, which enters the rejection branch
+    # at every bound: the two-layer loop hands symbols over at all picks
+    rng = np.random.default_rng(52)
+    words = rng.integers(1, 2**64, size=256 * 200, dtype=np.uint64)
+    words[rng.random(words.size) < 0.2] = 0
+    assert_draws_equal_scalar_draw(layers, words)
