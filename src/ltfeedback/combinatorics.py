@@ -11,6 +11,7 @@ pmf is a lookup in that table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,9 @@ __all__ = [
 
 # Wallenius tables kept at once; each holds prod(m_g + 1) floats.
 _WALLENIUS_TABLES = 4
+# States one table may hold: 32 MiB of floats, plus index arrays of the same
+# length while it is filled.  Two layers of 2047 fit.
+_WALLENIUS_STATES = 1 << 22
 
 # Cumulative log-factorials, kept in 80-bit precision so differences of
 # nearby entries stay accurate to ~1e-13 even at n = 10^4.
@@ -120,9 +124,15 @@ def wallenius_table(sizes: tuple[int, ...], weights: tuple[float, ...]) -> np.nd
     "Calculation methods for Wallenius' noncentral hypergeometric
     distribution", 2008).  Levels sum(x) = n are filled in turn, each from
     the one before, so a table costs O(N * #states) and one float per state.
-    Read-only; a few tables are cached, keyed on (sizes, weights).
+    Read-only; a few tables are cached, keyed on (sizes, weights).  An urn
+    of more than _WALLENIUS_STATES states raises ValueError before anything
+    is allocated.
     """
     shape = tuple(m + 1 for m in sizes)
+    states = math.prod(shape)
+    if states > _WALLENIUS_STATES:
+        raise ValueError(f"a Wallenius table over group sizes {tuple(sizes)} needs {states} "
+                         f"states, above the budget of {_WALLENIUS_STATES}")
     w = np.asarray(weights, dtype=np.float64)
     m = np.asarray(sizes)
     strides = np.cumprod((1,) + shape[:0:-1])[::-1]

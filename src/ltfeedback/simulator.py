@@ -4,6 +4,9 @@ A trial streams encoder output through a memoryless erasure channel into
 the peeling decoder and applies the feedback policy after every reception
 that decoded something.  Feedback on an unchanged decoder state changes
 nothing, so this is the same as applying it before every encoded symbol.
+For the same reason an erased symbol changes nothing but the sent count,
+so the channel draws the gap between arrivals, geometric with success
+probability 1 - ser, and the encoder builds only the symbols that arrive.
 The trace holds the per-layer undecoded counts at every reception,
 recorded at decode events and expanded at the end of the trial.
 Experiment drivers average many independent trials: the single-layer
@@ -21,11 +24,12 @@ one process pool when it has workers.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -145,16 +149,15 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     """Run one transmission until full decode, the deadline, or the safety cap.
 
     The feedback policy, unless it is none, is applied after every reception
-    that decoded something and left the block incomplete.  Applying it to an
-    unchanged decoder state changes nothing, so this equals applying it
-    before every encoded symbol (ideal, zero-latency feedback).  The source
-    block, the encoder and the channel draw from PCG64 substreams spawned
-    from the config's seed, in that order.  A symbol is built only as far
-    as it is needed: an erased one is its neighbors, and an arrival is
-    taken in by the decoder in one pass over its neighbors.  At erasure
-    rate 1 no symbol can arrive, so none is drawn and the trial runs out
-    its deadline at once.  Every decoded payload is checked against the
-    source block before returning.
+    that decoded something and left the block incomplete: on an unchanged
+    decoder state it changes nothing, so this equals ideal, zero-latency
+    feedback before every symbol.  For the same reason only arrivals matter:
+    the channel draws the symbols sent up to and including each arrival,
+    Geometric(1 - ser) by inversion of a uniform (1 at ser 0, infinite at 1),
+    and the encoder draws the neighbors of arrivals only.  A gap past a
+    sent-basis deadline ends the trial there; one past the safety cap raises.
+    The source block, the encoder and the channel draw from PCG64 substreams
+    of the config's seed.  Every decoded payload is checked against the source.
     """
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     source, coder, channel = np.random.SeedSequence(seed[0], spawn_key=seed[1:]).spawn(3)
@@ -164,7 +167,12 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
     encoder = Encoder(block, builder(k), np.random.default_rng(coder), dist_builder=builder)
     ser = config.ser
-    erasure_draw = np.random.default_rng(channel).random if 0.0 < ser < 1.0 else None
+    if 0.0 < ser < 1.0:  # symbols sent up to and including each arrival
+        draw, log_ser = np.random.default_rng(channel).random, math.log(ser)
+        uniform = chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None)).__next__
+        gap = lambda: 1 + int(math.log1p(-uniform()) / log_ser)  # Geometric(1 - ser)
+    else:  # every symbol arrives, or none ever does
+        gap = repeat(1 if ser == 0.0 else math.inf).__next__
     decoder = Decoder(k, config.payload_width, config.layers)
     layer_sizes = (k,) if config.layers is None else config.layers.layer_sizes
     n_layers = len(layer_sizes)
@@ -172,7 +180,6 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     payloads = block.payload_ints()
     decoded = decoder._decoded  # read only: the inputs decoded so far
     next_neighbors, add = encoder.next_neighbors, decoder._add
-    erasure_u, erasure_pos = [], 0  # channel uniforms, read by position
     sent = 0
     received = 0
     rec_sent: list[int] = []
@@ -182,29 +189,23 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     layer_done_sent: list = [None] * n_layers
     completion_sent = None
     completion_received = None
-    deadline = config.deadline
-    by_sent = config.deadline_basis == "sent"
+    deadline = math.inf if config.deadline is None else config.deadline
+    max_received, max_sent = ((math.inf, deadline) if config.deadline_basis == "sent"
+                              else (deadline, math.inf))
+    last = min(max_sent, _SAFETY_CAP)  # a gap past it ends the trial or exceeds the cap
     policy = config.policy
     feedback = policy.kind is not FeedbackKind.NONE
-    if ser >= 1.0 and by_sent:  # TrialConfig has required a deadline
-        if deadline > _SAFETY_CAP:
-            raise RuntimeError("trial exceeded the sent-symbol safety cap")
-        sent = deadline  # every symbol would be erased: the loop ends at once
 
     while completion_sent is None:
-        if deadline is not None:
-            if (sent if by_sent else received) >= deadline:
-                break
-        if sent >= _SAFETY_CAP:
-            raise RuntimeError("trial exceeded the sent-symbol safety cap")
-        sent += 1
+        if received >= max_received:
+            break
+        sent += gap()
+        if sent > last:
+            if max_sent > _SAFETY_CAP:
+                raise RuntimeError("trial exceeded the sent-symbol safety cap")
+            sent = max_sent
+            break
         neighbors = next_neighbors()
-        if erasure_draw is not None:
-            if erasure_pos == len(erasure_u):
-                erasure_u, erasure_pos = erasure_draw(_BLOCK).tolist(), 0
-            erasure_pos += 1
-            if erasure_u[erasure_pos - 1] < ser:
-                continue
         received += 1
         rec_sent.append(sent)
         reduced, newly = add(neighbors, 0, payloads)

@@ -18,8 +18,10 @@ test fixtures that the library itself never needed.
 `scalar_run_trial` is the transmission loop written with one numpy call
 per value: it reads the same substreams as `run_trial`, one uniform or one
 64-bit word per call, keeps its own encoder state and decodes by naive
-repeated peeling, so it pins the library's block draws, Lemire index draw
-and bookkeeping to the streams they must reproduce.  Its neighbor draw,
+repeated peeling, so it pins the library's block draws, channel gaps,
+Lemire index draw and bookkeeping to the streams they must reproduce.  It
+also keeps the per-symbol Bernoulli erasure channel that the gap channel
+replaced, as the reference for the gap channel's law.  Its neighbor draw,
 `scalar_draw`, also checks hand-fed words against the encoder's.
 
 `ReferenceDecoder` is the peeling decoder on a dict of neighbor sets, the
@@ -29,7 +31,7 @@ reception.
 
 from collections import defaultdict, deque
 from functools import lru_cache
-from math import exp, expm1, log, log1p
+from math import exp, expm1, inf, log, log1p
 
 import numpy as np
 from scipy import integrate, optimize, stats
@@ -172,63 +174,66 @@ def _log_pmf(pmf):
         return np.where(pmf > 0, np.log(np.where(pmf > 0, pmf, 1.0)), -np.inf)
 
 
-def strip_mixture(pmf, eligible, undecoded):
-    """Distribution of the number of undecoded neighbors when a symbol's
-    degree is drawn from `pmf` and its neighbors are chosen uniformly among
-    `eligible` symbols of which `undecoded` are not yet decoded.
+def _log_binomial_table(n_max):
+    """log C(n, r) for 0 <= n, r <= n_max, -inf where r > n: the values of
+    `log_binomial` on every pair, so the forms below only index them."""
+    n = np.arange(n_max + 1)
+    return log_binomial(n[:, None], n[None, :])
 
-    Entry [d] for 0 <= d <= undecoded is
-        sum_i pmf[i] * C(undecoded, d) * C(eligible-undecoded, i-d) / C(eligible, i).
-    Mass of `pmf` above `eligible` is treated as a draw of the full eligible
-    set (the encoder clamps oversized degrees), contributing to d = undecoded.
+
+def strip_mixtures(pmf, eligible):
+    """Row L, for every undecoded count L in 0..eligible: the distribution of
+    the number of undecoded neighbors when a symbol's degree is drawn from
+    `pmf` and its neighbors are chosen uniformly among `eligible` symbols of
+    which L are not yet decoded.
+
+    Entry [L, d] for 0 <= d <= L is
+        sum_i pmf[i] * C(L, d) * C(eligible-L, i-d) / C(eligible, i),
+    and zero for d > L.  Mass of `pmf` above `eligible` is treated as a draw
+    of the full eligible set (the encoder clamps oversized degrees),
+    contributing to d = L.  The sum runs over all L at once, one reduced
+    degree d at a time.
     """
-    i = np.arange(eligible + 1)
-    d = np.arange(undecoded + 1)
-    log_terms = (
-        _log_pmf(pmf[: eligible + 1])[None, :]
-        + log_binomial(undecoded, d)[:, None]
-        + log_binomial(eligible - undecoded, i[None, :] - d[:, None])
-        - log_binomial(eligible, i)[None, :]
-    )
-    out = np.exp(log_terms).sum(axis=1)
-    tail = pmf[eligible + 1 :].sum()
+    e = eligible
+    lb = _log_binomial_table(e)
+    log_pmf = _log_pmf(pmf[: e + 1])
+    out = np.zeros((e + 1, e + 1))
+    for d in range(e + 1):
+        # rows L = d..e, columns i = d..e; C(e-L, i-d) sits at lb[e-L, i-d]
+        log_terms = (
+            log_pmf[None, d:]
+            + lb[d:, d, None]
+            + lb[e - d :: -1, : e - d + 1]
+            - lb[e, None, d:]
+        )
+        out[d:, d] = np.exp(log_terms).sum(axis=1)
+    tail = pmf[e + 1 :].sum()
     if tail > 0:
-        out[undecoded] += tail
+        out[np.diag_indices(e + 1)] += tail
     return out
 
 
-def redundancy_closed_form(pmf, k, undecoded, acked):
-    """sum_i pmf[i] * C(k-acked-undecoded, i) / C(k-acked, i), the chance
-    that every neighbor is decoded but unacknowledged."""
-    if undecoded == 0:
-        return 1.0
-    decoded_unacked = k - acked - undecoded
-    i = np.arange(decoded_unacked + 1)
-    log_terms = (
-        _log_pmf(pmf[: decoded_unacked + 1])
-        + log_binomial(decoded_unacked, i)
-        - log_binomial(k - acked, i)
-    )
-    return float(np.exp(log_terms).sum())
+def redundancy_closed_forms(pmf, k, acked):
+    """Entry L, for every undecoded count L in 0..k-acked:
+    sum_i pmf[i] * C(k-acked-L, i) / C(k-acked, i), the chance that every
+    neighbor is decoded but unacknowledged (1 at L = 0)."""
+    e = k - acked
+    lb = _log_binomial_table(e)
+    # row L holds C(e-L, i), -inf past i = e-L
+    log_terms = _log_pmf(pmf[: e + 1])[None, :] + lb[::-1] - lb[e, None, :]
+    out = np.exp(log_terms).sum(axis=1)
+    out[0] = 1.0
+    return out
 
 
-def adaptive_closed_form(pmf, k, undecoded):
-    """rho(d) = sum_j pmf[j] * C(L, d) * C(k-L, j-d) / ((1 - p0) * C(k, j))
-    for 1 <= d <= L = `undecoded`, where p0 is the redundancy probability
-    of the plain reduced distribution; entry 0 is zero."""
-    j = np.arange(k + 1)
-    d = np.arange(1, undecoded + 1)
-    log_terms = (
-        _log_pmf(pmf)[None, :]
-        + log_binomial(undecoded, d)[:, None]
-        + log_binomial(k - undecoded, j[None, :] - d[:, None])
-        - log_binomial(k, j)[None, :]
-    )
-    unnorm = np.exp(log_terms).sum(axis=1)
-    p0_terms = _log_pmf(pmf) + log_binomial(k - undecoded, j) - log_binomial(k, j)
-    p0 = np.exp(p0_terms).sum()
-    out = np.zeros(undecoded + 1)
-    out[1:] = unnorm / (1.0 - p0)
+def adaptive_closed_forms(pmf, k):
+    """Row L, for every undecoded count L in 1..k:
+    rho(d) = sum_j pmf[j] * C(L, d) * C(k-L, j-d) / ((1 - p0) * C(k, j))
+    for 1 <= d <= L, where p0 is the redundancy probability of the plain
+    reduced distribution; entries d = 0 and d > L are zero, and so is row 0."""
+    strip = strip_mixtures(pmf[: k + 1], k)
+    out = np.zeros_like(strip)
+    out[1:, 1:] = strip[1:, 1:] / (1.0 - strip[1:, :1])
     return out
 
 
@@ -422,16 +427,27 @@ def _peel(decoded, pending):
             decoded.setdefault(v, value)
 
 
-def scalar_run_trial(config):
-    """run_trial(config) with one numpy call per uniform and per index word."""
+def scalar_run_trial(config, channel="gap"):
+    """run_trial(config) with one numpy call per uniform and per index word.
+    A channel gap, the symbols sent up to and including the next arrival, is
+    1 at erasure rate 0, infinite at 1, and otherwise 1 + floor(log(1 - u) /
+    log(ser)) for one scalar channel uniform u: P(gap > n) = ser^n.
+
+    channel="bernoulli" is the memoryless channel written out symbol by
+    symbol instead: every sent symbol is drawn, and one channel uniform below
+    ser erases it.  Its traces follow the same law as the gap channel's, but
+    at erasure rates strictly between 0 and 1 they draw other streams."""
+    if channel not in ("gap", "bernoulli"):
+        raise ValueError("channel must be 'gap' or 'bernoulli'")
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     root = np.random.SeedSequence(seed[0], spawn_key=seed[1:])
     source_seq, coder_seq, channel_seq = root.spawn(3)
     degree_rng, group_rng, index_rng = map(np.random.default_rng, coder_seq.spawn(3))
-    channel = np.random.default_rng(channel_seq)
+    channel_rng = np.random.default_rng(channel_seq)
     next_word = index_rng.bit_generator.random_raw
 
-    k, width, policy = config.k, config.payload_width, config.policy
+    k, width, policy, ser = config.k, config.payload_width, config.policy, config.ser
+    by_sent = config.deadline_basis == "sent"
     raw = np.random.default_rng(source_seq).bytes(k * width)
     payloads = [int.from_bytes(raw[i * width:(i + 1) * width], "big") for i in range(k)]
     if config.layers is None:
@@ -460,7 +476,16 @@ def scalar_run_trial(config):
     completion = (None, None)
     while len(decoded) < k:
         if config.deadline is not None:
-            if (sent if config.deadline_basis == "sent" else received) >= config.deadline:
+            if (sent if by_sent else received) >= config.deadline:
+                break
+        if channel == "gap":
+            if ser == 0.0:
+                sent += 1
+            else:
+                sent += inf if ser == 1.0 else 1 + int(np.floor(
+                    np.log1p(-channel_rng.random()) / np.log(ser)))
+            if by_sent and config.deadline is not None and sent > config.deadline:
+                sent = config.deadline  # the next arrival comes too late
                 break
         if policy.kind is FeedbackKind.PER_SYMBOL_ACK and len(decoded) != len(acked):
             acked = set(decoded)
@@ -485,9 +510,10 @@ def scalar_run_trial(config):
         value = 0
         for i in neighbors:
             value ^= payloads[i]
-        sent += 1
-        if config.ser > 0.0 and channel.random() < config.ser:
-            continue
+        if channel == "bernoulli":
+            sent += 1
+            if ser > 0.0 and channel_rng.random() < ser:
+                continue
         received += 1
         unknown = set(neighbors) - decoded.keys()
         rec_redundant.append(not unknown)

@@ -133,7 +133,7 @@ SIMULATE_CHECKSUMS = {
     "two-layer": (["--k", "40", "--runs", "4", "--seed", "5"],
                   "a2c1ce1a34d485ff589bda8d1039318a36becba99e06c795f09689e480501048"),
     "distortion": (["--k", "40", "--ser", "0:0.25:1", "--seconds", "3", "--seed", "5"],
-                   "3a0b6709e3b416eeae9a9f7aa9ad41c34c08e096feda2202a5aef2d2d50c513c"),
+                   "a3517ea38b36cdd1fee7218dc82fbabfa69963eeaa29fc263d6ac219ffcd9a6e"),
 }
 
 # One small run of every command, each to be rerun from its manifest.
@@ -236,6 +236,15 @@ class TestFailureModes:
         assert rc == 2
         assert not out.exists()
         assert "undecoded" in capsys.readouterr().err
+
+    def test_urn_above_the_state_budget_exits_2_without_output(self, tmp_path, capsys):
+        # two layers of 2500 need a Wallenius table of 2501^2 states
+        out = tmp_path / "never.csv"
+        rc = main(["analyze", "two-layer", "--k", "5000", "--grid-step", "5000",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "6255001 states, above the budget" in capsys.readouterr().err
 
     def test_bad_ser_grid(self, tmp_path, capsys):
         rc = main(["simulate", "distortion", "--k", "20", "--ser", "0:0:1",

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ class TestWalleniusTable:
             wallenius_pmf((5, 5), params)
             assert wallenius_table.cache_info().currsize <= bound
         assert wallenius_table.cache_info().currsize == bound
+
+    def test_urn_above_the_state_budget_allocates_nothing(self):
+        # 10^18 states are refused from the sizes alone, before any array
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1000003000003000001 states"):
+                wallenius_table((10**6, 10**6, 10**6), (9.0, 3.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_urn_just_under_the_state_budget_is_tabulated(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_WALLENIUS_STATES", 11 * 12 + 1)
+        assert wallenius_table((10, 11), (2.7, 1.0)).shape == (11, 12)
+        with pytest.raises(ValueError, match="144 states, above the budget of 133"):
+            wallenius_table((11, 11), (2.7, 1.0))
 
 
 class TestWeightedSampling:

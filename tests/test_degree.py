@@ -21,11 +21,11 @@ from ltfeedback.degree import (
     two_layer_reduced_dist,
 )
 from oracles import (
-    adaptive_closed_form,
+    adaptive_closed_forms,
     chi_square_pvalue,
-    redundancy_closed_form,
+    redundancy_closed_forms,
     sample_degrees,
-    strip_mixture,
+    strip_mixtures,
     tv_distance,
     two_layer_sum,
     uniform_strip_counts,
@@ -257,17 +257,19 @@ class TestThinningKernel:
     def test_matches_closed_forms_at_every_undecoded_count(self, k):
         dist = robust_soliton(RsdParams(k, 0.1, 1.0))
         for acked in (0, 3 * k // 10, 7 * k // 10):
+            strip = strip_mixtures(dist.pmf, k - acked)
+            redundancy = redundancy_closed_forms(dist.pmf, k, acked)
             for undecoded in range(k - acked + 1):
                 got = reduced_degree_dist_acked(dist, undecoded, acked).pmf
-                want = strip_mixture(dist.pmf, k - acked, undecoded)
+                want = strip[undecoded, : undecoded + 1]
                 assert np.abs(got[: undecoded + 1] - want).max() <= 1e-12
                 assert abs(
-                    redundancy_prob_acked(dist, undecoded, acked)
-                    - redundancy_closed_form(dist.pmf, k, undecoded, acked)
+                    redundancy_prob_acked(dist, undecoded, acked) - redundancy[undecoded]
                 ) <= 1e-12
+        adaptive = adaptive_closed_forms(dist.pmf, k)
         for undecoded in range(1, k + 1):
             got = adaptive_degree_dist(dist, undecoded).pmf
-            want = adaptive_closed_form(dist.pmf, k, undecoded)
+            want = adaptive[undecoded, : undecoded + 1]
             assert np.abs(got - want).max() <= 1e-12
 
     def test_exact_binomials_at_ten_thousand(self):

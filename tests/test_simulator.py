@@ -108,6 +108,38 @@ class TestRunTrial:
         else:
             assert run_trial(config).sent_total == simulator._SAFETY_CAP
 
+    def test_safety_cap_is_checked_on_the_gap(self, monkeypatch):
+        # at ser = 1 - 1e-9 a gap averages 10^9 symbols: the first one that
+        # crosses the 10^7-symbol cap raises before its symbol is drawn
+        next_neighbors, draws = Encoder.next_neighbors, []
+
+        def counted(self):
+            draws.append(1)
+            return next_neighbors(self)
+
+        monkeypatch.setattr(Encoder, "next_neighbors", counted)
+        with pytest.raises(RuntimeError, match="safety cap"):
+            run_trial(TrialConfig(k=10, seed=0, ser=1 - 1e-9))
+        assert len(draws) <= 1
+
+    def test_gap_across_the_sent_deadline_ends_the_trial_at_it(self):
+        # k=60 cannot decode from the at most 50 arrivals, so every trial
+        # runs to its deadline; unless symbol 50 arrives (chance 1/2), its
+        # last gap crosses it
+        crossed = 0
+        for seed in range(20):
+            trace = run_trial(TrialConfig(k=60, seed=seed, ser=0.5, deadline=50))
+            assert trace.sent_total == 50 and not trace.completed
+            assert (trace.sent <= 50).all()
+            crossed += int(trace.sent[-1] < 50)
+        assert 0 < crossed < 20
+
+    @pytest.mark.parametrize("basis", ["sent", "received"])
+    def test_zero_deadline_sends_nothing(self, basis):
+        trace = run_trial(TrialConfig(k=10, seed=0, ser=0.5, deadline=0, deadline_basis=basis))
+        assert trace.sent_total == trace.received_total == 0
+        assert trace.sent.size == 0 and trace.undecoded.shape == (0, 1)
+
     def test_deterministic_for_fixed_seed(self):
         config = TrialConfig(k=70, seed=11, ser=0.1)
         a, b = run_trial(config), run_trial(config)

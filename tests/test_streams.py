@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
 from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
@@ -118,13 +119,50 @@ def test_every_trace_field_equals_scalar_oracle(policy, data):
 @pytest.mark.parametrize("layered", [False, True])
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_total_erasure_trace_equals_scalar_oracle(policy, layered):
-    # run_trial draws no symbol at erasure rate 1; the oracle draws and
-    # erases every one up to the deadline
+    # at erasure rate 1 the gap to the next arrival is infinite, so neither
+    # run_trial nor the gap oracle draws a symbol; the Bernoulli oracle
+    # draws and erases every one up to the deadline
     config = TrialConfig(k=80, seed=(13, 4, 10**6, 0), layers=LAYERS if layered else None,
                          policy=POLICIES[policy], ser=1.0, deadline=150)
-    fast, slow = run_trial(config), scalar_run_trial(config)
-    assert_traces_equal(fast, slow)
+    fast = run_trial(config)
+    for channel in ("gap", "bernoulli"):
+        assert_traces_equal(fast, scalar_run_trial(config, channel=channel))
     assert fast.sent_total == 150
+
+
+@pytest.mark.parametrize("basis", ["sent", "received"])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_channels_agree_exactly_without_erasures(policy, basis):
+    # at erasure rate 0 no gap and no erasure uniform is drawn, so the two
+    # channels run the same symbols: the stream change leaves rate 0 alone
+    config = TrialConfig(k=80, seed=(14, 4, 0, 0), layers=LAYERS, policy=POLICIES[policy],
+                         deadline=90, deadline_basis=basis)
+    fast = run_trial(config)
+    for channel in ("gap", "bernoulli"):
+        assert_traces_equal(fast, scalar_run_trial(config, channel=channel))
+
+
+def test_gap_channel_has_the_bernoulli_channel_law():
+    # Two-sample tests, each at significance level 0.01, between run_trial
+    # (gap channel) and the per-symbol Bernoulli channel of the oracle, on
+    # independent seeds: a two-layer code without ack at erasure rate 0.35
+    # and a deadline of 2k sent symbols, where about a third of the trials
+    # decode 0, 1 and 2 layers each.  completion_sent is compared by
+    # Kolmogorov-Smirnov with "not complete" as deadline + 1 (conservative
+    # for discrete data), layers_decoded by a chi-square homogeneity test.
+    k, trials, deadline = 60, 500, 120
+    layers = two_layer_config(k, 0.5, 3.0)
+    config = lambda master, t: TrialConfig(k=k, seed=(master, 4, 350_000, t), layers=layers,
+                                           ser=0.35, deadline=deadline)
+    gap = [run_trial(config(31, t)) for t in range(trials)]
+    bernoulli = [scalar_run_trial(config(32, t), channel="bernoulli") for t in range(trials)]
+    completion = [[deadline + 1 if t.completion_sent is None else t.completion_sent
+                   for t in traces] for traces in (gap, bernoulli)]
+    assert stats.ks_2samp(*completion).pvalue > 0.01
+    table = [np.bincount([t.layers_decoded for t in traces], minlength=3)
+             for traces in (gap, bernoulli)]
+    assert (np.array(table) >= 50).all()  # every outcome is common in both samples
+    assert stats.chi2_contingency(table).pvalue > 0.01
 
 
 def test_large_degree_case_draws_degrees_above_256():
