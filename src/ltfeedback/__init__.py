@@ -16,9 +16,12 @@ from .degree import (
     TwoLayerReducedDist,
     adaptive_degree_dist,
     ideal_soliton,
+    layered_redundancy,
     n_layer_reduced_dist,
     reduced_degree_dist,
     reduced_degree_dist_acked,
+    redundancy_curve,
+    redundancy_curve_acked,
     redundancy_prob_acked,
     robust_soliton,
     two_layer_reduced_dist,
@@ -53,6 +56,9 @@ __all__ = [
     "TwoLayerReducedDist",
     "two_layer_reduced_dist",
     "n_layer_reduced_dist",
+    "redundancy_curve",
+    "redundancy_curve_acked",
+    "layered_redundancy",
     "InputBlock",
     "OutputSymbol",
     "Encoder",

@@ -9,18 +9,24 @@ configuration, so any result file can be regenerated byte for byte with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 import numpy as np
 
-from .degree import (
+# reduced_degree_dist, redundancy_prob_acked and two_layer_reduced_dist are not
+# called here; perfbench's tracer wraps them at these names, so they stay bound.
+from .degree import (  # noqa: F401
     LayerConfig,
     RsdParams,
     adaptive_degree_dist,
+    layered_redundancy,
     n_layer_reduced_dist,
     reduced_degree_dist,
+    redundancy_curve,
+    redundancy_curve_acked,
     redundancy_prob_acked,
     robust_soliton,
     two_layer_reduced_dist,
@@ -35,6 +41,7 @@ from .simulator import (
 )
 
 OUTDIR_ENV = "LTFEEDBACK_OUTDIR"
+_ACK_CHOICES = ("both", "layer", "none")
 
 _DEFAULTS = {
     "analyze reduced": {"k": 100, "c": 0.1, "delta": 1.0},
@@ -55,7 +62,10 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as
+    it was, so every call of main() may share it."""
     parser = argparse.ArgumentParser(
         prog="ltfeedback",
         description="Rateless-code feedback analysis and simulation",
@@ -112,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ser", type=float, help="symbol erasure rate")
     p.add_argument("--alpha", type=float, help="base-layer fraction of the block")
     p.add_argument("--beta", type=float, help="base/refinement selection weight ratio")
-    p.add_argument("--ack", choices=["both", "layer", "none"], help="which variants to run")
+    p.add_argument("--ack", choices=_ACK_CHOICES, help="which variants to run")
     p.add_argument("--baseline", dest="baseline", action="store_true", default=None,
                    help="include the unlayered baseline")
     p.add_argument("--no-baseline", dest="baseline", action="store_false", default=None)
@@ -153,28 +163,33 @@ def _effective(args: argparse.Namespace, name: str) -> dict:
         if flag is not None:
             merged[key] = flag
         elif key in from_file:
-            merged[key] = from_file[key]
+            merged[key] = _file_value(key, from_file[key], type(default))
         else:
             merged[key] = default
     return merged
 
 
-def _int_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(part) for part in str(text).split(","))
+def _file_value(key: str, value, want: type):
+    """A config-file value must have the type its flag parses to, which is
+    the type of the key's default.  A bool is not an int; a float key takes
+    an int, as its flag would."""
+    if want is float and type(value) is int:
+        return float(value)
+    if type(value) is not want:
+        raise ValueError(f"config key '{key}' must be {want.__name__}, "
+                         f"not {type(value).__name__} {value!r}")
+    return value
 
 
-def _float_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(part) for part in str(text).split(","))
+def _int_list(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(","))
 
 
-def _ser_grid(value) -> np.ndarray:
-    if isinstance(value, (int, float)):
-        return np.array([float(value)])
-    text = str(value)
+def _float_list(text: str) -> tuple:
+    return tuple(float(part) for part in text.split(","))
+
+
+def _ser_grid(text: str) -> np.ndarray:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -205,18 +220,12 @@ def _workers(cfg: dict) -> int:
 
 
 def _cmd_analyze_reduced(cfg: dict, out: str):
-    dist = _rsd(cfg)
-    k = cfg["k"]
-    rows = [(d, reduced_degree_dist(dist, k - d).pmf[0]) for d in range(k + 1)]
+    rows = enumerate(redundancy_curve(_rsd(cfg)))
     write_csv(out, ["decoded", "redundancy_prob"], rows)
 
 
 def _cmd_analyze_reduced_acked(cfg: dict, out: str):
-    dist = _rsd(cfg)
-    k, undecoded = cfg["k"], cfg["undecoded"]
-    if not 0 <= undecoded <= k:
-        raise ValueError("undecoded must lie in 0..k")
-    rows = [(m, redundancy_prob_acked(dist, undecoded, m)) for m in range(k - undecoded + 1)]
+    rows = enumerate(redundancy_curve_acked(_rsd(cfg), cfg["undecoded"]))
     write_csv(out, ["acked", "redundancy_prob"], rows)
 
 
@@ -243,12 +252,9 @@ def _cmd_analyze_two_layer(cfg: dict, out: str):
     step = cfg["grid_step"]
     if step < 1:
         raise ValueError("grid_step must be >= 1")
-    m_base, m_refine = layers.layer_sizes
-    rows = []
-    for lb in _grid_points(m_base, step):
-        for lr in _grid_points(m_refine, step):
-            joint = two_layer_reduced_dist(dist, layers, lb, lr)
-            rows.append((lb, lr, joint.pmf[0, 0]))
+    base, refine = (_grid_points(m, step) for m in layers.layer_sizes)
+    grid = layered_redundancy(dist, layers, (base, refine))
+    rows = [(lb, lr, grid[a, b]) for a, lb in enumerate(base) for b, lr in enumerate(refine)]
     write_csv(out, ["undecoded_base", "undecoded_refine", "redundancy_prob"], rows)
 
 
@@ -346,6 +352,8 @@ def _validate_common(cfg: dict):
         raise ValueError("beta must be positive")
     if "threads" in cfg and cfg["threads"] < 0:
         raise ValueError("threads must be >= 0")
+    if "ack" in cfg and cfg["ack"] not in _ACK_CHOICES:
+        raise ValueError(f"ack must be one of {_ACK_CHOICES}")
 
 
 def main(argv=None) -> int:

@@ -22,14 +22,20 @@ a convex combination with no cancellation (the state recursion of Karp,
 Luby and Shokrollahi, "Finite length analysis of LT codes", ISIT 2004).
 Rows are kept only at checkpoints every ceil(sqrt(n)) levels: building
 them takes n steps and about n^1.5/2 floats, and any other row is at most
-ceil(sqrt(n)) - 1 steps of O(n) below a checkpoint.  A few such tables are
-cached, keyed on the pmf bytes and n.
+ceil(sqrt(n)) - 1 steps of O(n) below a checkpoint.  The same pass records
+Omega_L(0) at every level, so the redundancy curve over all decoded counts
+is one column of the table.  A few such tables are cached, keyed on the pmf
+bytes and n.  Under acknowledgments the redundancy probability is a running
+product per acked count, and one loop over the degree runs it for every
+acked count at once.
 
 The layered transforms are tensor contractions.  W[j] = pmf[sum(j)] * T[j]
 is the probability that a symbol takes j_n neighbors from layer n, with T
 the Wallenius table of the layer urn; contracting W with each layer's
 hypergeometric split table along that layer's axis gives the joint
-reduced distribution.
+reduced distribution.  Its entry at 0, the redundancy probability, needs
+only row 0 of each split table, so a whole grid of undecoded counts is one
+contraction with one table per layer: A_1 @ W @ A_2.T for two layers.
 """
 
 from __future__ import annotations
@@ -57,11 +63,16 @@ __all__ = [
     "TwoLayerReducedDist",
     "two_layer_reduced_dist",
     "n_layer_reduced_dist",
+    "redundancy_curve",
+    "redundancy_curve_acked",
+    "layered_redundancy",
 ]
 
 _SUM_TOL = 1e-9
 # Thinning tables kept at once; each holds about n^1.5/2 floats (4 MB at n = 10^4).
 _THIN_TABLES = 4
+# Degrees redundancy_curve_acked steps through per block, each a row of k floats.
+_ACKED_STEPS = 16
 
 
 class DegreeDistribution:
@@ -167,24 +178,29 @@ def _thin_step(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=_THIN_TABLES)
-def _thinning_checkpoints(pmf_bytes: bytes, n: int) -> tuple[int, tuple[np.ndarray, ...], list]:
+def _thinning_checkpoints(
+    pmf_bytes: bytes, n: int
+) -> tuple[int, tuple[np.ndarray, ...], np.ndarray, list]:
     """Rows Omega_L for L = n, n-s, n-2s, ... >= 0 with stride s = ceil(sqrt(n)),
-    each of length L+1, and a slot [L, Omega_L] for the last row looked up.
-    The pmf's mass above n goes to degree n, as the encoder clamps
-    oversized draws to the eligible set."""
+    each of length L+1; the column Omega_L(0) for every L = 0..n; and a slot
+    [L, Omega_L] for the last row looked up.  The pmf's mass above n goes to
+    degree n, as the encoder clamps oversized draws to the eligible set."""
     pmf = np.frombuffer(pmf_bytes)
     row = pmf[: n + 1].copy()
     row[n] += pmf[n + 1 :].sum()
     stride = math.isqrt(max(n - 1, 0)) + 1
     idx = np.arange(n + 1, dtype=np.float64)
     rows = [row]
+    zeros = np.empty(n + 1)
+    zeros[n] = row[0]
     for level in range(n - 1, -1, -1):
         row = _thin_step(row, idx)
+        zeros[level] = row[0]
         if (n - level) % stride == 0:
             rows.append(row)
-    for r in rows:
+    for r in rows + [zeros]:
         r.flags.writeable = False
-    return stride, tuple(rows), [n, rows[0]]
+    return stride, tuple(rows), zeros, [n, rows[0]]
 
 
 def _thinned(pmf: np.ndarray, n: int, undecoded: int) -> np.ndarray:
@@ -197,7 +213,7 @@ def _thinned(pmf: np.ndarray, n: int, undecoded: int) -> np.ndarray:
     level per symbol decoded since the last lookup when a trial asks for
     ever fewer undecoded symbols.  Each row is one fixed step from the row
     above it, so every start gives the same floats."""
-    stride, rows, last = _thinning_checkpoints(pmf.tobytes(), n)
+    stride, rows, _, last = _thinning_checkpoints(pmf.tobytes(), n)
     j = (n - undecoded) // stride
     level, row = n - j * stride, rows[j]
     if undecoded <= last[0] < level:
@@ -242,6 +258,49 @@ def redundancy_prob_acked(original: DegreeDistribution, undecoded: int, acked: i
     survive = np.cumprod((n - undecoded - t) / (n - t))
     pmf = original.pmf
     return float(pmf[0] + pmf[1 : n - undecoded + 1] @ survive)
+
+
+def redundancy_curve(original: DegreeDistribution) -> np.ndarray:
+    """Probability an arriving symbol is entirely redundant after d = 0..k
+    input symbols are decoded, no acks: entry d is
+    reduced_degree_dist(original, k-d).pmf[0], the same float, read off the
+    column Omega_L(0) that one pass of the thinning recurrence records."""
+    return _thinning_checkpoints(original.pmf.tobytes(), original.k)[2][::-1]
+
+
+def redundancy_curve_acked(original: DegreeDistribution, undecoded: int) -> np.ndarray:
+    """redundancy_prob_acked(original, undecoded, m) for every acked count
+    m = 0..k-undecoded, in one loop over the degree for all rows at once.
+
+    Row m's factor at step t is (n-L-t)/(n-t) with n = k-m, that is a/(a+L)
+    for a = k-L-m-t: entry t+m of one ratio table, zero-padded past the
+    row's last term.  A block of _ACKED_STEPS steps is multiplied down by
+    cumprod, in redundancy_prob_acked's order, so each running product is
+    the same float.  Block sums are added in extended precision, within
+    1e-15 of redundancy_prob_acked's dot products.
+    """
+    k = original.k
+    if not 0 <= undecoded <= k:
+        raise ValueError("undecoded count must lie in 0..k")
+    spare = k - undecoded
+    if undecoded == 0:
+        return np.ones(spare + 1)
+    a = np.arange(spare, 0, -1)
+    ratio = np.zeros(2 * spare)
+    ratio[:spare] = a / (a + undecoded)
+    steps = np.lib.stride_tricks.sliding_window_view(ratio, spare)  # steps[t, m] = ratio[t+m]
+    pmf = original.pmf
+    out = np.full(spare + 1, pmf[0], dtype=np.longdouble)
+    survive = np.ones(spare)
+    for t in range(0, spare, _ACKED_STEPS):
+        live = spare - t  # rows m >= live have no terms left
+        block = steps[t : t + _ACKED_STEPS, :live].copy()
+        block[0] *= survive[:live]
+        np.cumprod(block, axis=0, out=block)
+        survive = block[-1].copy()
+        block *= pmf[t + 1 : t + 1 + len(block), None]
+        out[:live] += block.sum(axis=0)
+    return out.astype(np.float64)
 
 
 def reduced_degree_dist_acked(
@@ -382,6 +441,32 @@ def two_layer_reduced_dist(
     return TwoLayerReducedDist(joint, undecoded_base, undecoded_refine)
 
 
+def _layer_split(original: DegreeDistribution, layers: LayerConfig) -> np.ndarray:
+    """W[j] = pmf[sum(j)] * T[j], the probability that a symbol takes j_n
+    neighbors from layer n, with T the Wallenius table of the layer urn."""
+    if original.k != layers.k:
+        raise ValueError("distribution block length must match layer config")
+    table = wallenius_table(layers.layer_sizes, layers.weight_ratios)
+    return original.pmf[level_sums(table.shape)] * table
+
+
+def _contract(joint: np.ndarray, tables) -> np.ndarray:
+    """Contract axis n of `joint` with axis 1 of tables[n], for every n.
+    Each contraction consumes the leading axis and appends the new one, so
+    after N of them the axes are back in layer order."""
+    for table in tables:
+        joint = np.tensordot(joint, table, axes=([0], [1]))
+    return joint
+
+
+def _check_undecoded(layers: LayerConfig, undecoded) -> None:
+    """`undecoded[n]` is a sequence of undecoded counts of layer n."""
+    if len(undecoded) != layers.n_layers:
+        raise ValueError("undecoded vector length must match layer count")
+    if any(not 0 <= u <= m for us, m in zip(undecoded, layers.layer_sizes) for u in us):
+        raise ValueError("undecoded counts must lie within layer sizes")
+
+
 def n_layer_reduced_dist(
     original: DegreeDistribution, layers: LayerConfig, undecoded
 ) -> np.ndarray:
@@ -392,22 +477,41 @@ def n_layer_reduced_dist(
     probability an arriving symbol has d[n] undecoded neighbors in layer n.
     The layer split of a symbol follows the multivariate sequential
     weighted-sampling law and the within-layer splits are uniform, so the
-    result is the layer-split pmf W[j] = pmf[sum(j)] * T[j], T the
-    Wallenius table of the layer urn, contracted with each layer's
+    result is the layer-split pmf W contracted with each layer's
     hypergeometric split table along that layer's axis.
     """
-    sizes = layers.layer_sizes
     und = tuple(int(u) for u in undecoded)
-    if len(und) != layers.n_layers:
-        raise ValueError("undecoded vector length must match layer count")
-    if any(u < 0 or u > m for u, m in zip(und, sizes)):
-        raise ValueError("undecoded counts must lie within layer sizes")
-    if original.k != layers.k:
-        raise ValueError("distribution block length must match layer config")
-    table = wallenius_table(sizes, layers.weight_ratios)
-    joint = original.pmf[level_sums(table.shape)] * table
-    # each contraction consumes the leading axis and appends the reduced
-    # one, so after N of them the axes are back in layer order
-    for u, m in zip(und, sizes):
-        joint = np.tensordot(joint, _split_table(u, m), axes=([0], [1]))
-    return joint
+    _check_undecoded(layers, [(u,) for u in und])
+    splits = [_split_table(u, m) for u, m in zip(und, layers.layer_sizes)]
+    return _contract(_layer_split(original, layers), splits)
+
+
+def _miss_table(points, group_size: int) -> np.ndarray:
+    """A[a, j] = C(m-u, j)/C(m, j) for m = group_size and u = points[a]: the
+    probability that none of j uniformly chosen group members is among the
+    u marked ones.  It is the running product prod_{t<j} (m-u-t)/(m-t), as
+    in redundancy_prob_acked, with the numerator clipped at 0 so that the
+    entries past j = m-u are +0.0."""
+    u = np.asarray(points, dtype=np.int64)[:, None]
+    t = np.arange(group_size)
+    out = np.ones((u.shape[0], group_size + 1))
+    np.cumprod(np.maximum(group_size - u - t, 0) / (group_size - t), axis=1, out=out[:, 1:])
+    return out
+
+
+def layered_redundancy(
+    original: DegreeDistribution, layers: LayerConfig, undecoded_points
+) -> np.ndarray:
+    """Probability an arriving symbol of an N-layer weighted code is entirely
+    redundant, over a grid of undecoded counts per layer.
+
+    `undecoded_points[n]` lists undecoded counts of layer n.  Entry
+    [a_1, ..., a_N] is n_layer_reduced_dist(original, layers, u)[0, ..., 0]
+    at u_n = undecoded_points[n][a_n], that is sum_j W[j] prod_n A_n[a_n, j_n]
+    with W the layer-split pmf and A_n the _miss_table of layer n; for two
+    layers the whole grid is A_1 @ W @ A_2.T.
+    """
+    points = [np.asarray(p, dtype=np.int64) for p in undecoded_points]
+    _check_undecoded(layers, points)
+    misses = [_miss_table(p, m) for p, m in zip(points, layers.layer_sizes)]
+    return _contract(_layer_split(original, layers), misses)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ltfeedback import simulator
+from ltfeedback import cli, simulator
 from ltfeedback.cli import main
 from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
 from oracles import sample_degrees, weighted_strip_counts
@@ -269,6 +269,51 @@ class TestFailureModes:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config", [
+        (["analyze", "reduced"], {"k": "100"}),
+        (["analyze", "reduced"], {"k": 50.5}),
+        (["analyze", "reduced"], {"k": True}),
+        (["analyze", "two-layer"], {"beta": "9"}),
+        (["analyze", "n-layer"], {"layer_sizes": [20, 20, 20]}),
+        (["simulate", "single"], {"runs": "3"}),
+        (["simulate", "two-layer"], {"baseline": 1}),
+        (["simulate", "two-layer"], {"ack": "bogus"}),
+    ])
+    def test_config_value_its_flag_would_refuse_exits_2_without_output(
+            self, tmp_path, capsys, monkeypatch, command, config):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "never.csv"
+        assert main(command + ["--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert next(iter(config)) in err and "must be" in err
+
+    def test_float_config_key_takes_an_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k": 30, "beta": 9, "grid_step": 5}))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["analyze", "two-layer", "--config", str(path), "--out", str(out1)]) == 0
+        assert main(["analyze", "two-layer", "--k", "30", "--beta", "9", "--grid-step", "5",
+                     "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        manifest = json.loads(out1.with_suffix(".csv.manifest.json").read_text())
+        assert manifest["config"]["beta"] == 9.0
+
+    def test_every_default_has_the_type_its_flag_parses_to(self):
+        # config-file values are checked against the type of the default
+        for name, defaults in cli._DEFAULTS.items():
+            argv = name.split()
+            for key, value in defaults.items():
+                if type(value) is bool:
+                    argv.append(f"--{key}" if value else f"--no-{key}")
+                else:
+                    argv += [f"--{key.replace('_', '-')}", str(value)]
+            args = cli._build_parser().parse_args(argv)
+            for key, value in defaults.items():
+                assert type(getattr(args, key)) is type(value), (name, key)
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["analyze", "reduced", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x.csv")])
@@ -309,6 +354,36 @@ class TestEntryPoints:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_reused_parser_writes_what_separate_processes_write(self, tmp_path, capsys):
+        # main() shares one argument parser per process; an argparse error
+        # in between must not change what a later call parses
+        commands = [MANIFEST_RUNS[f"analyze-{sub}"] for sub in
+                    ("reduced", "reduced-acked", "adaptive", "two-layer", "n-layer")]
+        here, apart = tmp_path / "here", tmp_path / "apart"
+        here.mkdir()
+        apart.mkdir()
+        for i, argv in enumerate(commands):
+            assert main(argv + ["--out", str(here / f"{i}.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "reduced", "--k", "many"])
+        assert exc.value.code == 2
+        assert main(commands[0] + ["--out", str(here / "again.csv")]) == 0
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for i, argv in enumerate(commands):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ltfeedback", *argv, "--out", str(apart / f"{i}.csv")],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for i in range(len(commands)):
+            for suffix in (".csv", ".csv.manifest.json"):
+                name = f"{i}{suffix}"
+                assert (here / name).read_bytes() == (apart / name).read_bytes(), name
+        for suffix in (".csv", ".csv.manifest.json"):
+            assert (here / f"again{suffix}").read_bytes() == (apart / f"0{suffix}").read_bytes()
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LTFEEDBACK_OUTDIR", str(tmp_path))

@@ -13,9 +13,12 @@ from ltfeedback.degree import (
     RsdParams,
     adaptive_degree_dist,
     ideal_soliton,
+    layered_redundancy,
     n_layer_reduced_dist,
     reduced_degree_dist,
     reduced_degree_dist_acked,
+    redundancy_curve,
+    redundancy_curve_acked,
     redundancy_prob_acked,
     robust_soliton,
     two_layer_reduced_dist,
@@ -320,6 +323,70 @@ class TestThinningKernel:
         for undecoded in falling + rng.integers(0, n + 1, size=60).tolist() + [n, 0, n]:
             got = degree._thinned(pmf, n, undecoded)
             assert got.tobytes() == chain[n - undecoded].tobytes(), undecoded
+
+
+class TestRedundancyTables:
+    """The whole-table kernels of the `analyze` commands against the
+    per-point functions they replace."""
+
+    @pytest.mark.parametrize("k", [1, 2, 100, 1000])
+    def test_curve_is_the_reduced_column_bit_for_bit(self, k):
+        dist = robust_soliton(RsdParams(k, 0.1, 1.0))
+        want = np.array([reduced_degree_dist(dist, k - d).pmf[0] for d in range(k + 1)])
+        assert redundancy_curve(dist).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 100, 1000])
+    def test_acked_curve_matches_redundancy_prob_acked(self, k):
+        dist = robust_soliton(RsdParams(k, 0.1, 1.0))
+        for undecoded in sorted({0, 1, k // 5, k // 2, k - 1, k}):
+            got = redundancy_curve_acked(dist, undecoded)
+            want = [redundancy_prob_acked(dist, undecoded, m)
+                    for m in range(k - undecoded + 1)]
+            assert got.shape == (k - undecoded + 1,)
+            assert np.abs(got - want).max() <= 1e-15, undecoded
+        assert (redundancy_curve_acked(dist, 0) == 1.0).all()
+
+    def test_acked_curve_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            redundancy_curve_acked(RSD100, 101)
+        with pytest.raises(ValueError):
+            redundancy_curve_acked(RSD100, -1)
+
+    @pytest.mark.parametrize(
+        "k, beta, step",
+        # a step of 60 is larger than either layer of 50
+        [(2, 9.0, 1), (100, 9.0, 10), (100, 1.0, 7), (100, 1e6, 60),
+         (1000, 9.0, 100), (1000, 1e6, 100)],
+    )
+    def test_two_layer_grid_matches_two_layer_reduced_dist(self, k, beta, step):
+        dist = robust_soliton(RsdParams(k, 0.1, 1.0))
+        layers = LayerConfig((k // 2, k - k // 2), (beta, 1.0))
+        points = [sorted(set(range(0, m + 1, step)) | {m}) for m in layers.layer_sizes]
+        grid = layered_redundancy(dist, layers, points)
+        assert grid.shape == tuple(len(p) for p in points)
+        assert not np.signbit(grid).any()
+        for a, lb in enumerate(points[0]):
+            for b, lr in enumerate(points[1]):
+                want = two_layer_reduced_dist(dist, layers, lb, lr).pmf[0, 0]
+                assert abs(grid[a, b] - want) <= 1e-15, (lb, lr)
+
+    def test_three_layer_grid_matches_the_joint_at_zero(self):
+        layers = LayerConfig((10, 7, 13), (9.0, 3.0, 1.0))
+        dist = robust_soliton(RsdParams(30, 0.1, 1.0))
+        points = [(0, 4, 10), (7, 2), (0, 13, 5, 1)]
+        grid = layered_redundancy(dist, layers, points)
+        for idx in np.ndindex(grid.shape):
+            undecoded = [p[i] for p, i in zip(points, idx)]
+            want = n_layer_reduced_dist(dist, layers, undecoded)[0, 0, 0]
+            assert abs(grid[idx] - want) <= 1e-15, undecoded
+
+    def test_grid_rejects_bad_points(self):
+        with pytest.raises(ValueError):
+            layered_redundancy(RSD100, LAYERS_UEP, [(0, 51), (0,)])
+        with pytest.raises(ValueError):
+            layered_redundancy(RSD100, LAYERS_UEP, [(0,), (-1, 3)])
+        with pytest.raises(ValueError):
+            layered_redundancy(RSD100, LAYERS_UEP, [(0,)])
 
 
 LAYERS_EQ = LayerConfig((50, 50), (1.0, 1.0))
