@@ -17,7 +17,8 @@ from ltfeedback import (
     RsdParams,
     adaptive_degree_dist,
     reduced_degree_dist,
-    redundancy_prob_acked,
+    redundancy_curve,
+    redundancy_curve_acked,
     robust_soliton,
 )
 
@@ -46,13 +47,15 @@ for undecoded in (100, 70, 40, 10):
         print(f"    degree {d}: {reduced.pmf[d]:.4f} {bar(reduced.pmf[d], 60)}")
 
 print("\nprobability an arriving symbol is pure redundancy, vs decoded count:")
+curve = redundancy_curve(dist)
 for decoded in range(0, 101, 10):
-    p0 = reduced_degree_dist(dist, K - decoded).pmf[0]
+    p0 = curve[decoded]
     print(f"  {decoded:3d} decoded: {p0:.4f} {bar(p0, 80)}")
 
 print("\nacknowledgments cut redundancy: L=20 undecoded, sweeping acked count M")
+curve = redundancy_curve_acked(dist, 20)
 for acked in (0, 20, 40, 60, 80):
-    p0 = redundancy_prob_acked(dist, 20, acked)
+    p0 = curve[acked]
     print(f"  M = {acked:2d}: {p0:.4f} {bar(p0, 80)}")
 print("(strictly decreasing; at M = k-L the encoder law reaches the receiver intact)")
 

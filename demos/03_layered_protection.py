@@ -11,8 +11,8 @@ from ltfeedback import (
     LayerConfig,
     RsdParams,
     experiment_two_layer_ack,
+    layered_redundancy,
     robust_soliton,
-    two_layer_reduced_dist,
 )
 
 K = 100
@@ -24,8 +24,8 @@ print(f"two layers of 50, base selected {BETA:.0f}x more often (k={K})")
 print("\nredundancy probability over (undecoded base, undecoded refinement):")
 grid = (0, 10, 25, 50)
 print("             L_refine=" + "".join(f"{lr:8d}" for lr in grid))
-for lb in grid:
-    cells = [two_layer_reduced_dist(dist, layers, lb, lr).pmf[0, 0] for lr in grid]
+table = layered_redundancy(dist, layers, (grid, grid))
+for lb, cells in zip(grid, table):
     print(f"  L_base={lb:3d}      " + "".join(f"{c:8.3f}" for c in cells))
 print("\nwith the base decoded (L_base=0) nearly two thirds of arriving")
 print("symbols are useless; that is the whole second half of the transfer.")

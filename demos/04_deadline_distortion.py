@@ -7,12 +7,12 @@ source is 2^(-2r).  The sweep shows where layering pays off and where the
 one-shot base-layer ack matters.
 """
 
-from ltfeedback import RateDistortionModel, experiment_deadline_distortion
+from ltfeedback import FULL_RATE, experiment_deadline_distortion
 
 K = 100
 SECONDS = 40
-model = RateDistortionModel(alpha=0.5)
-rates = model.rates(2)
+ALPHA = 0.5
+rates = (0.0, ALPHA * FULL_RATE, FULL_RATE)
 print("reconstruction rates (bits/sample) and distortions per decoded layers:")
 for z, r in enumerate(rates):
     print(f"  {z} layers: r = {r:.6f}, d = {2 ** (-2 * r):.4f}")
@@ -20,7 +20,7 @@ for z, r in enumerate(rates):
 grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 print(f"\nmean distortion over {SECONDS} seconds per point, deadline {2 * K} sent:")
 result = experiment_deadline_distortion(
-    k=K, alpha=0.5, beta=9.0, ser_grid=grid, seconds=SECONDS, seed=20_240_603)
+    k=K, alpha=ALPHA, beta=9.0, ser_grid=grid, seconds=SECONDS, seed=20_240_603)
 
 names = ["single_layer", "two_layer_no_ack", "two_layer_layer_ack"]
 print("  erasure rate " + "".join(f"{n:>22s}" for n in names))

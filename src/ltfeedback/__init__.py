@@ -13,7 +13,6 @@ from .degree import (
     DegreeDistribution,
     LayerConfig,
     RsdParams,
-    TwoLayerReducedDist,
     adaptive_degree_dist,
     ideal_soliton,
     layered_redundancy,
@@ -27,8 +26,9 @@ from .degree import (
     two_layer_reduced_dist,
 )
 from .codec import Decoder, DecoderSnapshot, Encoder, InputBlock, OutputSymbol, ReceiveResult
-from .feedback import DistributionMode, FeedbackKind, FeedbackPolicy, apply_feedback
+from .feedback import FeedbackPolicy, apply_feedback
 from .simulator import (
+    FULL_RATE,
     RateDistortionModel,
     TransmissionTrace,
     TrialConfig,
@@ -53,7 +53,6 @@ __all__ = [
     "redundancy_prob_acked",
     "reduced_degree_dist_acked",
     "adaptive_degree_dist",
-    "TwoLayerReducedDist",
     "two_layer_reduced_dist",
     "n_layer_reduced_dist",
     "redundancy_curve",
@@ -65,13 +64,12 @@ __all__ = [
     "Decoder",
     "DecoderSnapshot",
     "ReceiveResult",
-    "FeedbackKind",
-    "DistributionMode",
     "FeedbackPolicy",
     "apply_feedback",
     "TrialConfig",
     "TransmissionTrace",
     "run_trial",
+    "FULL_RATE",
     "RateDistortionModel",
     "distortion_of_trace",
     "experiment_single_layer_feedback",

@@ -41,8 +41,9 @@ from .simulator import (
 )
 
 OUTDIR_ENV = "LTFEEDBACK_OUTDIR"
-_ACK_CHOICES = ("both", "layer", "none")
+_CHOICES = {"ack": ("both", "layer", "none"), "deadline_basis": ("sent", "received")}
 
+# Each key is a flag, --key-with-dashes, that parses to the type of its default.
 _DEFAULTS = {
     "analyze reduced": {"k": 100, "c": 0.1, "delta": 1.0},
     "analyze reduced-acked": {"k": 100, "c": 0.1, "delta": 1.0, "undecoded": 20},
@@ -61,6 +62,32 @@ _DEFAULTS = {
                             "deadline_basis": "sent", "threads": 0},
 }
 
+_HELP = {
+    "analyze": "closed-form degree-distribution tables",
+    "simulate": "Monte-Carlo transmission experiments",
+    "out": "output CSV path",
+    "config": "JSON config file (flags override it)",
+    "k": "block length",
+    "c": "soliton spike constant",
+    "delta": "soliton failure bound, in (0,1]",
+    "undecoded": "symbols still unknown at the receiver",
+    "analyze n-layer undecoded": "comma list of undecoded counts per layer",
+    "alpha": "base-layer fraction of the block",
+    "beta": "base/refinement selection weight ratio",
+    "grid_step": "grid spacing",
+    "layer_sizes": "comma list of layer sizes",
+    "weights": "comma list of layer weights",
+    "runs": "independent trials per scheme",
+    "seconds": "trials (seconds of source) per grid point",
+    "seed": "master seed",
+    "threads": "worker processes (0 = all cores)",
+    "ser": "symbol erasure rate",
+    "simulate distortion ser": "erasure-rate grid: start:step:stop, comma list, or one value",
+    "ack": "which variants to run",
+    "baseline": "include the unlayered baseline",
+    "deadline_basis": "whether the deadline counts sent or received symbols",
+}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,71 +98,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Rateless-code feedback analysis and simulation",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    analyze = top.add_parser("analyze", help="closed-form degree-distribution tables")
-    asub = analyze.add_subparsers(dest="subcommand", required=True)
-    simulate = top.add_parser("simulate", help="Monte-Carlo transmission experiments")
-    ssub = simulate.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--k", type=int, help="block length")
-        p.add_argument("--c", type=float, help="soliton spike constant")
-        p.add_argument("--delta", type=float, help="soliton failure bound, in (0,1]")
-
-    p = asub.add_parser("reduced", help="redundancy probability vs decoded count")
-    common(p)
-
-    p = asub.add_parser("reduced-acked", help="redundancy probability vs acknowledged count")
-    common(p)
-    p.add_argument("--undecoded", type=int, help="symbols still unknown at the receiver")
-
-    p = asub.add_parser("adaptive", help="zero-redundancy adaptive distribution")
-    common(p)
-    p.add_argument("--undecoded", type=int, help="symbols still unknown at the receiver")
-
-    p = asub.add_parser("two-layer", help="joint redundancy over a grid of undecoded counts")
-    common(p)
-    p.add_argument("--alpha", type=float, help="base-layer fraction of the block")
-    p.add_argument("--beta", type=float, help="base/refinement selection weight ratio")
-    p.add_argument("--grid-step", dest="grid_step", type=int, help="grid spacing")
-
-    p = asub.add_parser("n-layer", help="full joint reduced-degree pmf for N layers")
-    common(p)
-    p.add_argument("--layer-sizes", dest="layer_sizes", help="comma list of layer sizes")
-    p.add_argument("--weights", help="comma list of layer weights")
-    p.add_argument("--undecoded", help="comma list of undecoded counts per layer")
-
-    def sim_common(p):
-        common(p)
-        p.add_argument("--runs", type=int, help="independent trials per scheme")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--threads", type=int, help="worker processes (0 = all cores)")
-
-    p = ssub.add_parser("single", help="single-layer feedback comparison")
-    sim_common(p)
-    p.add_argument("--ser", type=float, help="symbol erasure rate")
-
-    p = ssub.add_parser("two-layer", help="layer-acknowledgment comparison")
-    sim_common(p)
-    p.add_argument("--ser", type=float, help="symbol erasure rate")
-    p.add_argument("--alpha", type=float, help="base-layer fraction of the block")
-    p.add_argument("--beta", type=float, help="base/refinement selection weight ratio")
-    p.add_argument("--ack", choices=_ACK_CHOICES, help="which variants to run")
-    p.add_argument("--baseline", dest="baseline", action="store_true", default=None,
-                   help="include the unlayered baseline")
-    p.add_argument("--no-baseline", dest="baseline", action="store_false", default=None)
-
-    p = ssub.add_parser("distortion", help="deadline-limited distortion sweep")
-    sim_common(p)
-    p.add_argument("--ser", help="erasure-rate grid: start:step:stop, comma list, or one value")
-    p.add_argument("--seconds", type=int, help="trials (seconds of source) per grid point")
-    p.add_argument("--alpha", type=float, help="base-layer fraction of the block")
-    p.add_argument("--beta", type=float, help="base/refinement selection weight ratio")
-    p.add_argument("--deadline-basis", dest="deadline_basis", choices=["sent", "received"],
-                   help="whether the deadline counts sent or received symbols")
-
+    groups = {}
+    for name, defaults in _DEFAULTS.items():
+        command, sub = name.split()
+        if command not in groups:
+            groups[command] = top.add_parser(command, help=_HELP[command]).add_subparsers(
+                dest="subcommand", required=True)
+        p = groups[command].add_parser(sub, help=_HANDLERS[name][1])
+        p.add_argument("--out", help=_HELP["out"])
+        p.add_argument("--config", help=_HELP["config"])
+        for key, default in defaults.items():
+            flag, text = "--" + key.replace("_", "-"), _HELP.get(f"{name} {key}", _HELP[key])
+            if type(default) is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+            else:
+                p.add_argument(flag, type=type(default), choices=_CHOICES.get(key), help=text)
     return parser
 
 
@@ -321,15 +298,18 @@ def _cmd_simulate_distortion(cfg: dict, out: str) -> dict:
     return {"payload_errors": result.payload_errors}
 
 
+# name -> (handler, help); the default output file is the name in snake case
 _HANDLERS = {
-    "analyze reduced": (_cmd_analyze_reduced, "analyze_reduced.csv"),
-    "analyze reduced-acked": (_cmd_analyze_reduced_acked, "analyze_reduced_acked.csv"),
-    "analyze adaptive": (_cmd_analyze_adaptive, "analyze_adaptive.csv"),
-    "analyze two-layer": (_cmd_analyze_two_layer, "analyze_two_layer.csv"),
-    "analyze n-layer": (_cmd_analyze_n_layer, "analyze_n_layer.csv"),
-    "simulate single": (_cmd_simulate_single, "simulate_single.csv"),
-    "simulate two-layer": (_cmd_simulate_two_layer, "simulate_two_layer.csv"),
-    "simulate distortion": (_cmd_simulate_distortion, "simulate_distortion.csv"),
+    "analyze reduced": (_cmd_analyze_reduced, "redundancy probability vs decoded count"),
+    "analyze reduced-acked": (_cmd_analyze_reduced_acked,
+                              "redundancy probability vs acknowledged count"),
+    "analyze adaptive": (_cmd_analyze_adaptive, "zero-redundancy adaptive distribution"),
+    "analyze two-layer": (_cmd_analyze_two_layer,
+                          "joint redundancy over a grid of undecoded counts"),
+    "analyze n-layer": (_cmd_analyze_n_layer, "full joint reduced-degree pmf for N layers"),
+    "simulate single": (_cmd_simulate_single, "single-layer feedback comparison"),
+    "simulate two-layer": (_cmd_simulate_two_layer, "layer-acknowledgment comparison"),
+    "simulate distortion": (_cmd_simulate_distortion, "deadline-limited distortion sweep"),
 }
 
 
@@ -352,19 +332,20 @@ def _validate_common(cfg: dict):
         raise ValueError("beta must be positive")
     if "threads" in cfg and cfg["threads"] < 0:
         raise ValueError("threads must be >= 0")
-    if "ack" in cfg and cfg["ack"] not in _ACK_CHOICES:
-        raise ValueError(f"ack must be one of {_ACK_CHOICES}")
+    for key, choices in _CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise ValueError(f"{key} must be one of {choices}")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     name = f"{args.command} {args.subcommand}"
-    handler, default_name = _HANDLERS[name]
+    handler = _HANDLERS[name][0]
     try:
         cfg = _effective(args, name)
         _validate_common(cfg)
-        out = _out_path(args, default_name)
+        out = _out_path(args, name.replace(" ", "_").replace("-", "_") + ".csv")
         extra = handler(cfg, out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,7 +60,6 @@ __all__ = [
     "redundancy_prob_acked",
     "reduced_degree_dist_acked",
     "adaptive_degree_dist",
-    "TwoLayerReducedDist",
     "two_layer_reduced_dist",
     "n_layer_reduced_dist",
     "redundancy_curve",
@@ -390,31 +389,6 @@ class LayerConfig:
         return tuple(w / total for w in self.weight_ratios)
 
 
-@dataclass(frozen=True)
-class TwoLayerReducedDist:
-    """Joint pmf of (undecoded base neighbors, undecoded refinement
-    neighbors) after stripping, for a two-layer weighted code."""
-
-    pmf: np.ndarray  # shape (undecoded_base+1, undecoded_refine+1)
-    undecoded_base: int
-    undecoded_refine: int
-
-    def __post_init__(self):
-        total = self.pmf.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"joint pmf sums to {total!r}, not 1")
-        if (self.pmf < 0).any():
-            raise ValueError("joint pmf entries must be nonnegative")
-
-    def marginal_total(self) -> np.ndarray:
-        """pmf of the total reduced degree (base + refinement neighbors)."""
-        lb, lr = self.undecoded_base, self.undecoded_refine
-        out = np.zeros(lb + lr + 1)
-        for ib in range(lb + 1):
-            out[ib : ib + lr + 1] += self.pmf[ib]
-        return out
-
-
 def _split_table(marked: int, group_size: int) -> np.ndarray:
     """H[d, j] = P(d of j uniformly chosen group members are marked)."""
     d = np.arange(marked + 1)
@@ -432,13 +406,14 @@ def two_layer_reduced_dist(
     layers: LayerConfig,
     undecoded_base: int,
     undecoded_refine: int,
-) -> TwoLayerReducedDist:
-    """Joint reduced-degree distribution of a two-layer weighted code: the
-    N = 2 case of n_layer_reduced_dist, h_base @ W @ h_refine.T."""
+) -> np.ndarray:
+    """Joint pmf of (undecoded base neighbors, undecoded refinement
+    neighbors) after stripping, for a two-layer weighted code: the N = 2
+    case of n_layer_reduced_dist, h_base @ W @ h_refine.T, of shape
+    (undecoded_base+1, undecoded_refine+1)."""
     if layers.n_layers != 2:
         raise ValueError("two_layer_reduced_dist requires exactly two layers")
-    joint = n_layer_reduced_dist(original, layers, (undecoded_base, undecoded_refine))
-    return TwoLayerReducedDist(joint, undecoded_base, undecoded_refine)
+    return n_layer_reduced_dist(original, layers, (undecoded_base, undecoded_refine))
 
 
 def _layer_split(original: DegreeDistribution, layers: LayerConfig) -> np.ndarray:

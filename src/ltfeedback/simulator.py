@@ -28,7 +28,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Optional
 
@@ -38,19 +38,20 @@ import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every fork
 from . import __version__
 from .codec import _BLOCK, Decoder, Encoder, InputBlock
 from .degree import LayerConfig, RsdParams, robust_soliton
-from .feedback import DistributionMode, FeedbackKind, FeedbackPolicy, apply_feedback
+from .feedback import FeedbackPolicy, apply_feedback
 
 __all__ = [
     "TrialConfig",
     "TransmissionTrace",
     "run_trial",
+    "FULL_RATE",
+    "DEADLINE_FACTOR",
     "RateDistortionModel",
     "distortion_of_trace",
     "Scheme",
     "SCHEMES",
     "SchemeStats",
-    "SingleLayerExperiment",
-    "TwoLayerExperiment",
+    "SchemeExperiment",
     "DistortionExperiment",
     "two_layer_config",
     "experiment_single_layer_feedback",
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 _SAFETY_CAP = 10_000_000  # sent-symbol bound against runaway trials
+PAYLOAD_WIDTH = 8  # bytes per source symbol
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,10 @@ class TrialConfig:
 
     k: int
     seed: object = 0
-    payload_width: int = 8
     c: float = 0.1
     delta: float = 1.0
     layers: Optional[LayerConfig] = None
-    policy: FeedbackPolicy = field(default_factory=FeedbackPolicy.none)
+    policy: FeedbackPolicy = FeedbackPolicy.NONE
     ser: float = 0.0
     deadline: Optional[int] = None
     deadline_basis: str = "sent"
@@ -162,8 +163,7 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     source, coder, channel = np.random.SeedSequence(seed[0], spawn_key=seed[1:]).spawn(3)
     k = config.k
-    block = InputBlock.random(k, config.payload_width, np.random.default_rng(source),
-                              config.layers)
+    block = InputBlock.random(k, PAYLOAD_WIDTH, np.random.default_rng(source), config.layers)
     builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
     encoder = Encoder(block, builder(k), np.random.default_rng(coder), dist_builder=builder)
     ser = config.ser
@@ -173,7 +173,7 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
         gap = lambda: 1 + int(math.log1p(-uniform()) / log_ser)  # Geometric(1 - ser)
     else:  # every symbol arrives, or none ever does
         gap = repeat(1 if ser == 0.0 else math.inf).__next__
-    decoder = Decoder(k, config.payload_width, config.layers)
+    decoder = Decoder(k, PAYLOAD_WIDTH, config.layers)
     layer_sizes = (k,) if config.layers is None else config.layers.layer_sizes
     n_layers = len(layer_sizes)
 
@@ -194,7 +194,7 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
                               else (deadline, math.inf))
     last = min(max_sent, _SAFETY_CAP)  # a gap past it ends the trial or exceeds the cap
     policy = config.policy
-    feedback = policy.kind is not FeedbackKind.NONE
+    feedback = policy is not FeedbackPolicy.NONE
 
     while completion_sent is None:
         if received >= max_received:
@@ -257,40 +257,33 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     )
 
 
+# The paper's source: 1 Mbit/s of 480x320 video at 30 frames/s, in bits per
+# sample, with each second's block due within DEADLINE_FACTOR * k sent symbols.
+FULL_RATE = 1e6 / (480 * 320 * 30)
+DEADLINE_FACTOR = 2
+
+
 @dataclass(frozen=True)
 class RateDistortionModel:
     """Analytical source model: distortion 2^(-2r) at rate r bits/sample.
 
-    Rates come from pushing `bitrate` bits/s of video at the given geometry:
-    one fully decoded layered block of one second yields the full rate, a
-    decoded base layer the fraction `alpha` of it, nothing decoded rate 0.
+    One fully decoded layered block of one second of source yields
+    FULL_RATE, a decoded base layer the fraction `alpha` of it, nothing
+    decoded rate 0.
     """
 
     alpha: float = 0.5
-    bitrate: float = 1e6
-    width: int = 480
-    height: int = 320
-    fps: int = 30
-    deadline_factor: int = 2  # deadline in sent symbols, as a multiple of k
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 
-    @property
-    def samples_per_second(self) -> float:
-        return float(self.width * self.height * self.fps)
-
-    @property
-    def full_rate(self) -> float:
-        return self.bitrate / self.samples_per_second
-
     def rates(self, n_layers: int) -> tuple:
         """Achievable rate per number of decoded layers, lowest first."""
         if n_layers == 1:
-            return (0.0, self.full_rate)
+            return (0.0, FULL_RATE)
         if n_layers == 2:
-            return (0.0, self.alpha * self.full_rate, self.full_rate)
+            return (0.0, self.alpha * FULL_RATE, FULL_RATE)
         raise ValueError("distortion model covers one or two layers")
 
 
@@ -323,12 +316,12 @@ class Scheme:
 # experiment runs it, beside whichever others, in whatever order.
 # no_feedback and single_layer run alike but keep their own streams.
 SCHEMES = {
-    "no_feedback": Scheme(0, False, FeedbackPolicy.none()),
-    "ack_original": Scheme(1, False, FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)),
-    "ack_adaptive": Scheme(2, False, FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)),
-    "single_layer": Scheme(3, False, FeedbackPolicy.none()),
-    "two_layer_no_ack": Scheme(4, True, FeedbackPolicy.none()),
-    "two_layer_layer_ack": Scheme(5, True, FeedbackPolicy.layer_ack()),
+    "no_feedback": Scheme(0, False, FeedbackPolicy.NONE),
+    "ack_original": Scheme(1, False, FeedbackPolicy.ACK_ORIGINAL),
+    "ack_adaptive": Scheme(2, False, FeedbackPolicy.ACK_ADAPTIVE),
+    "single_layer": Scheme(3, False, FeedbackPolicy.NONE),
+    "two_layer_no_ack": Scheme(4, True, FeedbackPolicy.NONE),
+    "two_layer_layer_ack": Scheme(5, True, FeedbackPolicy.LAYER_ACK),
 }
 
 
@@ -409,11 +402,13 @@ def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
 
 
 @dataclass
-class SingleLayerExperiment:
-    k: int
-    runs: int
-    seed: object
+class SchemeExperiment:
     schemes: dict  # name -> SchemeStats
+
+
+def _compare(schemes, runs: int, seed, ser: float, workers: int, **trial) -> SchemeExperiment:
+    results = _run_schemes(schemes, (ser,), runs, seed, workers, _aggregate, **trial)
+    return SchemeExperiment({name: stats for name, (stats,) in results.items()})
 
 
 def experiment_single_layer_feedback(
@@ -423,26 +418,12 @@ def experiment_single_layer_feedback(
     c: float = 0.1,
     delta: float = 1.0,
     ser: float = 0.0,
-    payload_width: int = 8,
     workers: int = 1,
-) -> SingleLayerExperiment:
+) -> SchemeExperiment:
     """Compare no feedback, per-symbol ack with the stock distribution, and
     per-symbol ack with the adaptive distribution, on one block size."""
-    results = _run_schemes(("no_feedback", "ack_original", "ack_adaptive"), (ser,), runs, seed,
-                           workers, _aggregate, k=k, c=c, delta=delta,
-                           payload_width=payload_width)
-    return SingleLayerExperiment(k=k, runs=runs, seed=seed,
-                                 schemes={name: stats for name, (stats,) in results.items()})
-
-
-@dataclass
-class TwoLayerExperiment:
-    k: int
-    alpha: float
-    beta: float
-    runs: int
-    seed: object
-    schemes: dict  # name -> SchemeStats
+    return _compare(("no_feedback", "ack_original", "ack_adaptive"), runs, seed, ser, workers,
+                    k=k, c=c, delta=delta)
 
 
 def two_layer_config(k: int, alpha: float, beta: float) -> LayerConfig:
@@ -461,27 +442,17 @@ def experiment_two_layer_ack(
     c: float = 0.1,
     delta: float = 1.0,
     ser: float = 0.0,
-    payload_width: int = 8,
     workers: int = 1,
     schemes: tuple = ("two_layer_no_ack", "two_layer_layer_ack", "single_layer"),
-) -> TwoLayerExperiment:
+) -> SchemeExperiment:
     """Two-layer weighted code with and without whole-layer acknowledgment,
     plus an unlayered baseline."""
-    results = _run_schemes(schemes, (ser,), runs, seed, workers, _aggregate,
-                           layers=two_layer_config(k, alpha, beta), k=k, c=c, delta=delta,
-                           payload_width=payload_width)
-    return TwoLayerExperiment(k=k, alpha=alpha, beta=beta, runs=runs, seed=seed,
-                              schemes={name: stats for name, (stats,) in results.items()})
+    return _compare(schemes, runs, seed, ser, workers, layers=two_layer_config(k, alpha, beta),
+                    k=k, c=c, delta=delta)
 
 
 @dataclass
 class DistortionExperiment:
-    k: int
-    alpha: float
-    beta: float
-    ser_grid: np.ndarray
-    seconds: int
-    seed: object
     mean_distortion: dict  # name -> np.ndarray over ser grid
     per_trial: dict  # name -> (n_ser, seconds) distortions
     payload_errors: int
@@ -496,30 +467,26 @@ def experiment_deadline_distortion(
     seed,
     c: float = 0.1,
     delta: float = 1.0,
-    payload_width: int = 8,
     deadline_basis: str = "sent",
     workers: int = 1,
-    model: Optional[RateDistortionModel] = None,
     schemes: tuple = ("single_layer", "two_layer_no_ack", "two_layer_layer_ack"),
 ) -> DistortionExperiment:
     """Mean distortion of each scheme per erasure rate, each second of
-    source being one deadline-limited block transmission.
+    source being one block transmission with a deadline of
+    DEADLINE_FACTOR * k symbols.
 
     Trials are keyed on the erasure rate itself, so one point of a sweep
     rerun on its own, or on another grid, draws the same trials."""
-    if model is None:
-        model = RateDistortionModel(alpha=alpha)
+    model = RateDistortionModel(alpha=alpha)
     grid = np.asarray(ser_grid, dtype=np.float64)
     reduce = lambda name, traces: (
         [distortion_of_trace(t, model) for t in traces], sum(t.payload_errors for t in traces))
     results = _run_schemes(schemes, grid, seconds, seed, workers, reduce,
                            layers=two_layer_config(k, alpha, beta), k=k, c=c, delta=delta,
-                           payload_width=payload_width, deadline=model.deadline_factor * k,
-                           deadline_basis=deadline_basis)
+                           deadline=DEADLINE_FACTOR * k, deadline_basis=deadline_basis)
     per_trial = {name: np.array([d for d, _ in points]).reshape(grid.size, seconds)
                  for name, points in results.items()}
     return DistortionExperiment(
-        k=k, alpha=alpha, beta=beta, ser_grid=grid, seconds=seconds, seed=seed,
         mean_distortion={name: d.mean(axis=1) for name, d in per_trial.items()},
         per_trial=per_trial,
         payload_errors=sum(e for points in results.values() for _, e in points),

@@ -38,8 +38,8 @@ from scipy import integrate, optimize, stats
 
 from ltfeedback.combinatorics import log_binomial
 from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
-from ltfeedback.feedback import DistributionMode, FeedbackKind
-from ltfeedback.simulator import TransmissionTrace
+from ltfeedback.feedback import FeedbackPolicy
+from ltfeedback.simulator import PAYLOAD_WIDTH, TransmissionTrace
 
 
 def sample_degrees(dist, rng, size):
@@ -446,7 +446,7 @@ def scalar_run_trial(config, channel="gap"):
     channel_rng = np.random.default_rng(channel_seq)
     next_word = index_rng.bit_generator.random_raw
 
-    k, width, policy, ser = config.k, config.payload_width, config.policy, config.ser
+    k, width, policy, ser = config.k, PAYLOAD_WIDTH, config.policy, config.ser
     by_sent = config.deadline_basis == "sent"
     raw = np.random.default_rng(source_seq).bytes(k * width)
     payloads = [int.from_bytes(raw[i * width:(i + 1) * width], "big") for i in range(k)]
@@ -487,21 +487,22 @@ def scalar_run_trial(config, channel="gap"):
             if by_sent and config.deadline is not None and sent > config.deadline:
                 sent = config.deadline  # the next arrival comes too late
                 break
-        if policy.kind is FeedbackKind.PER_SYMBOL_ACK and len(decoded) != len(acked):
+        per_symbol = policy in (FeedbackPolicy.ACK_ORIGINAL, FeedbackPolicy.ACK_ADAPTIVE)
+        if per_symbol and len(decoded) != len(acked):
             acked = set(decoded)
             groups = eligible_groups()
             if len(acked) < k:
                 dist = (adaptive_degree_dist(base, k - len(acked))
-                        if policy.distribution_mode is DistributionMode.ADAPTIVE
+                        if policy is FeedbackPolicy.ACK_ADAPTIVE
                         else builder(k - len(acked)))
-        if policy.kind is FeedbackKind.LAYER_ACK:
+        if policy is FeedbackPolicy.LAYER_ACK:
             for li, left in enumerate(undecoded()):
                 if left or li in acked_layers:
                     continue
                 acked_layers.add(li)
                 acked |= set(range(*ranges[li]))
                 groups = eligible_groups()
-                if len(acked) < k and policy.reparameterize_after_layer_ack:
+                if len(acked) < k:
                     dist = builder(k - len(acked))
         eligible = sum(len(members) for _, members in groups)
         u = degree_rng.random()

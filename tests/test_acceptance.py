@@ -23,7 +23,7 @@ from ltfeedback.degree import (
     robust_soliton,
     two_layer_reduced_dist,
 )
-from ltfeedback.feedback import DistributionMode, FeedbackPolicy, apply_feedback
+from ltfeedback.feedback import FeedbackPolicy, apply_feedback
 from ltfeedback.simulator import (
     TrialConfig,
     experiment_deadline_distortion,
@@ -89,7 +89,7 @@ def test_c04_adaptive_ack_never_emits_redundant_symbols():
     """10^5 receptions under adaptive per-symbol ack at k=100: zero symbols
     of reduced degree zero; the adaptive pmf is the truncated-renormalized
     reduced distribution to 1e-12."""
-    policy = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+    policy = FeedbackPolicy.ACK_ADAPTIVE
     rng = np.random.default_rng(404)
     builder = lambda n: robust_soliton(RsdParams(n, 0.1, 1.0))
     receptions = 0
@@ -171,7 +171,7 @@ def test_c06_n_layer_specializes_to_two_layer():
     for dist, layers, lb, lr in cases:
         want = two_layer_sum(dist.pmf, layers.layer_sizes, layers.weight_ratios, lb, lr)
         joint_n = n_layer_reduced_dist(dist, layers, (lb, lr))
-        joint_2 = two_layer_reduced_dist(dist, layers, lb, lr).pmf
+        joint_2 = two_layer_reduced_dist(dist, layers, lb, lr)
         assert np.abs(joint_n - want).max() <= 1e-9
         assert np.abs(joint_2 - want).max() <= 1e-9
 
@@ -267,12 +267,10 @@ def test_c10_decoder_soundness_battery():
         battery += [
             TrialConfig(k=100, seed=(10_000, seed)),
             TrialConfig(k=100, seed=(10_001, seed), ser=0.35),
-            TrialConfig(k=100, seed=(10_002, seed),
-                        policy=FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)),
-            TrialConfig(k=100, seed=(10_003, seed),
-                        policy=FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)),
+            TrialConfig(k=100, seed=(10_002, seed), policy=FeedbackPolicy.ACK_ORIGINAL),
+            TrialConfig(k=100, seed=(10_003, seed), policy=FeedbackPolicy.ACK_ADAPTIVE),
             TrialConfig(k=100, seed=(10_004, seed), layers=layers,
-                        policy=FeedbackPolicy.layer_ack()),
+                        policy=FeedbackPolicy.LAYER_ACK),
             TrialConfig(k=100, seed=(10_005, seed), layers=layers, ser=0.5,
                         deadline=200),
         ]

@@ -367,7 +367,7 @@ class TestRedundancyTables:
         assert not np.signbit(grid).any()
         for a, lb in enumerate(points[0]):
             for b, lr in enumerate(points[1]):
-                want = two_layer_reduced_dist(dist, layers, lb, lr).pmf[0, 0]
+                want = two_layer_reduced_dist(dist, layers, lb, lr)[0, 0]
                 assert abs(grid[a, b] - want) <= 1e-15, (lb, lr)
 
     def test_three_layer_grid_matches_the_joint_at_zero(self):
@@ -393,19 +393,29 @@ LAYERS_EQ = LayerConfig((50, 50), (1.0, 1.0))
 LAYERS_UEP = LayerConfig((50, 50), (9.0, 1.0))
 
 
+def marginal_total(joint: np.ndarray) -> np.ndarray:
+    """pmf of the total reduced degree (base + refinement neighbors) of a
+    two-layer joint pmf."""
+    lb, lr = joint.shape[0] - 1, joint.shape[1] - 1
+    out = np.zeros(lb + lr + 1)
+    for ib in range(lb + 1):
+        out[ib : ib + lr + 1] += joint[ib]
+    return out
+
+
 class TestTwoLayerReducedDist:
     def test_uniform_weights_collapse_to_single_layer(self):
         joint = two_layer_reduced_dist(RSD100, LAYERS_EQ, 30, 20)
-        marginal = joint.marginal_total()
+        marginal = marginal_total(joint)
         want = reduced_degree_dist(RSD100, 50).pmf
         assert np.abs(marginal - want[: marginal.size]).max() < 1e-8
         assert want[marginal.size :].sum() < 1e-12
 
     def test_nothing_decoded_marginal_is_original(self):
         joint = two_layer_reduced_dist(RSD100, LAYERS_UEP, 50, 50)
-        marginal = joint.marginal_total()
+        marginal = marginal_total(joint)
         assert np.abs(marginal - RSD100.pmf[: marginal.size]).max() < 1e-10
-        assert joint.pmf[0, 0] == 0.0
+        assert joint[0, 0] == 0.0
 
     def test_base_decoded_corner_matches_monte_carlo(self):
         # base fully decoded, refinement fully undecoded: a symbol is
@@ -415,14 +425,14 @@ class TestTwoLayerReducedDist:
         degrees = sample_degrees(RSD100, rng, n)
         counts = weighted_strip_counts(degrees, (50, 50), (9.0, 1.0), rng)
         p_hat = (counts[:, 1] == 0).mean()
-        p = two_layer_reduced_dist(RSD100, LAYERS_UEP, 0, 50).pmf[0, 0]
+        p = two_layer_reduced_dist(RSD100, LAYERS_UEP, 0, 50)[0, 0]
         se = math.sqrt(p * (1 - p) / n)
         assert abs(p_hat - p) <= 3 * se
         assert p > 0.3  # redundancy stays high throughout the second stage
 
     def test_redundancy_rises_as_base_drains(self):
-        high = two_layer_reduced_dist(RSD100, LAYERS_UEP, 10, 40).pmf[0, 0]
-        low = two_layer_reduced_dist(RSD100, LAYERS_UEP, 40, 40).pmf[0, 0]
+        high = two_layer_reduced_dist(RSD100, LAYERS_UEP, 10, 40)[0, 0]
+        low = two_layer_reduced_dist(RSD100, LAYERS_UEP, 40, 40)[0, 0]
         assert high >= low
 
     def test_rejects_layer_bound_violation(self):
@@ -435,7 +445,7 @@ class TestNLayerReducedDist:
         joint = n_layer_reduced_dist(RSD100, LAYERS_UEP, (10, 40))
         want = two_layer_sum(RSD100.pmf, (50, 50), (9.0, 1.0), 10, 40)
         assert np.abs(joint - want).max() < 1e-9
-        assert np.abs(two_layer_reduced_dist(RSD100, LAYERS_UEP, 10, 40).pmf - want).max() < 1e-9
+        assert np.abs(two_layer_reduced_dist(RSD100, LAYERS_UEP, 10, 40) - want).max() < 1e-9
 
     def test_equal_weights_collapse_onto_total(self):
         k = 60

@@ -12,12 +12,7 @@ from ltfeedback.degree import (
     adaptive_degree_dist,
     robust_soliton,
 )
-from ltfeedback.feedback import (
-    DistributionMode,
-    FeedbackKind,
-    FeedbackPolicy,
-    apply_feedback,
-)
+from ltfeedback.feedback import FeedbackPolicy, apply_feedback
 from oracles import chi_square_pvalue
 
 
@@ -40,7 +35,7 @@ class TestNonePolicy:
         rng = np.random.default_rng(0)
         enc = make_encoder(20, rng)
         before = enc.distribution
-        apply_feedback(enc, snapshot_of({1, 2, 3}), FeedbackPolicy.none())
+        apply_feedback(enc, snapshot_of({1, 2, 3}), FeedbackPolicy.NONE)
         assert enc.distribution is before
         assert enc.acked_count == 0
 
@@ -50,13 +45,13 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(1)
         enc = make_encoder(20, rng)
         before = enc.distribution
-        apply_feedback(enc, snapshot_of(set()), FeedbackPolicy.per_symbol_ack())
+        apply_feedback(enc, snapshot_of(set()), FeedbackPolicy.ACK_ORIGINAL)
         assert enc.distribution is before and enc.eligible_count == 20
 
     def test_original_mode_rebuilds_over_remaining(self):
         rng = np.random.default_rng(2)
         enc = make_encoder(100, rng)
-        apply_feedback(enc, snapshot_of(set(range(60))), FeedbackPolicy.per_symbol_ack())
+        apply_feedback(enc, snapshot_of(set(range(60))), FeedbackPolicy.ACK_ORIGINAL)
         assert enc.eligible_count == 40
         want = robust_soliton(RsdParams(40, 0.1, 1.0))
         assert np.array_equal(enc.distribution.pmf, want.pmf)
@@ -64,7 +59,7 @@ class TestPerSymbolAck:
     def test_adaptive_mode_matches_degree_module(self):
         rng = np.random.default_rng(3)
         enc = make_encoder(100, rng)
-        policy = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+        policy = FeedbackPolicy.ACK_ADAPTIVE
         apply_feedback(enc, snapshot_of(set(range(60))), policy)
         assert enc.eligible_count == 40
         want = adaptive_degree_dist(robust_soliton(RsdParams(100, 0.1, 1.0)), 40)
@@ -74,7 +69,7 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(4)
         enc = make_encoder(50, rng)
         dec = Decoder(50, 8)
-        policy = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+        policy = FeedbackPolicy.ACK_ADAPTIVE
         for _ in range(300):
             apply_feedback(enc, dec.snapshot(), policy)
             if enc.eligible_count == 0:
@@ -88,7 +83,7 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(5)
         enc = make_encoder(100, rng)
         dec = Decoder(100, 8)
-        policy = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+        policy = FeedbackPolicy.ACK_ADAPTIVE
         while not dec.is_complete:
             apply_feedback(enc, dec.snapshot(), policy)
             result = dec.receive(enc.encode_next())
@@ -103,7 +98,7 @@ class TestPerSymbolAck:
         k = 100
         enc = make_encoder(k, rng)
         dec = Decoder(k, 8)
-        policy = FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)
+        policy = FeedbackPolicy.ACK_ORIGINAL
         observed = np.zeros(k + 1)
         expected = np.zeros(k + 1)
         n_redundant = 0
@@ -125,7 +120,7 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(7)
         enc = make_encoder(10, rng)
         with pytest.raises(ValueError):
-            apply_feedback(enc, snapshot_of(foreign), FeedbackPolicy.per_symbol_ack())
+            apply_feedback(enc, snapshot_of(foreign), FeedbackPolicy.ACK_ORIGINAL)
 
 
 class TestLayerAck:
@@ -133,34 +128,26 @@ class TestLayerAck:
         rng = np.random.default_rng(8)
         enc = make_encoder(10, rng)
         with pytest.raises(ValueError):
-            apply_feedback(enc, snapshot_of(set(), (True,)), FeedbackPolicy.layer_ack())
+            apply_feedback(enc, snapshot_of(set(), (True,)), FeedbackPolicy.LAYER_ACK)
 
     def test_fires_once_and_drops_base_layer(self):
         rng = np.random.default_rng(9)
         layers = LayerConfig((10, 10), (9.0, 1.0))
         enc = make_encoder(20, rng, layers)
         snap = snapshot_of(set(range(10)), (True, False))
-        apply_feedback(enc, snap, FeedbackPolicy.layer_ack())
+        apply_feedback(enc, snap, FeedbackPolicy.LAYER_ACK)
         assert enc.layer_acks_fired == 1
         assert enc.eligible_count == 10
         assert enc.distribution.k == 10  # re-parameterized to the refinement size
-        apply_feedback(enc, snap, FeedbackPolicy.layer_ack())
+        apply_feedback(enc, snap, FeedbackPolicy.LAYER_ACK)
         assert enc.layer_acks_fired == 1  # second report changes nothing
-
-    def test_keep_distribution_variant(self):
-        rng = np.random.default_rng(10)
-        layers = LayerConfig((10, 10), (9.0, 1.0))
-        enc = make_encoder(20, rng, layers)
-        policy = FeedbackPolicy.layer_ack(reparameterize=False)
-        apply_feedback(enc, snapshot_of(set(range(10)), (True, False)), policy)
-        assert enc.distribution.k == 20  # unchanged; oversized draws clamp
 
     def test_refinement_selection_becomes_uniform(self):
         rng = np.random.default_rng(11)
         layers = LayerConfig((10, 30), (9.0, 1.0))
         enc = make_encoder(40, rng, layers)
         apply_feedback(enc, snapshot_of(set(range(10)), (True, False)),
-                       FeedbackPolicy.layer_ack())
+                       FeedbackPolicy.LAYER_ACK)
         counts = np.zeros(40)
         n_syms = 30_000
         for _ in range(n_syms):
@@ -176,7 +163,7 @@ class TestLayerAck:
         layers = LayerConfig((50, 50), (9.0, 1.0))
         enc = make_encoder(100, rng, layers)
         dec = Decoder(100, 8, layers)
-        policy = FeedbackPolicy.layer_ack()
+        policy = FeedbackPolicy.LAYER_ACK
         receptions = 0
         while not dec.is_complete:
             apply_feedback(enc, dec.snapshot(), policy)
@@ -188,7 +175,7 @@ class TestLayerAck:
 
 class TestPolicyObjectsAreShareable:
     def test_policy_reuse_across_encoders_is_pure(self):
-        policy = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+        policy = FeedbackPolicy.ACK_ADAPTIVE
         outs = []
         for _ in range(2):
             rng = np.random.default_rng(77)
@@ -200,10 +187,9 @@ class TestPolicyObjectsAreShareable:
 
 
 ACK_POLICIES = [
-    FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL),
-    FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE),
-    FeedbackPolicy.layer_ack(),
-    FeedbackPolicy.layer_ack(reparameterize=False),
+    FeedbackPolicy.ACK_ORIGINAL,
+    FeedbackPolicy.ACK_ADAPTIVE,
+    FeedbackPolicy.LAYER_ACK,
 ]
 
 
@@ -215,9 +201,8 @@ def encoder_state(enc):
             [(len(s.values), s.pos) for s in streams])
 
 
-@pytest.mark.parametrize("policy", [FeedbackPolicy.none(), *ACK_POLICIES],
-                         ids=lambda p: f"{p.kind.value}-{p.distribution_mode.value}-"
-                                       f"{p.reparameterize_after_layer_ack}")
+@pytest.mark.parametrize("policy", [FeedbackPolicy.NONE, *ACK_POLICIES],
+                         ids=lambda p: p.value)
 def test_same_snapshot_twice_changes_the_encoder_once(policy):
     # run_trial applies feedback only after a decode event; that equals
     # applying it before every symbol only if an unchanged report is a no-op
@@ -232,7 +217,7 @@ def test_same_snapshot_twice_changes_the_encoder_once(policy):
     once = encoder_state(enc)
     apply_feedback(enc, snap, policy)
     assert encoder_state(enc) == once
-    assert (once == before) == (policy.kind is FeedbackKind.NONE)
+    assert (once == before) == (policy is FeedbackPolicy.NONE)
 
 
 class TestAckProperties:
@@ -242,7 +227,7 @@ class TestAckProperties:
     def test_acknowledged_index_never_appears_later(self, k, base, beta, layered, policy,
                                                     erasure, seed):
         # what was acknowledged is read off the decoder, not the encoder
-        per_symbol = policy.kind is FeedbackKind.PER_SYMBOL_ACK
+        per_symbol = policy is not FeedbackPolicy.LAYER_ACK
         layers = None
         if layered or not per_symbol:
             base = min(base, k - 1)

@@ -8,7 +8,7 @@ import pytest
 from ltfeedback import simulator
 from ltfeedback.codec import Decoder, Encoder, InputBlock
 from ltfeedback.degree import RsdParams, reduced_degree_dist, robust_soliton
-from ltfeedback.feedback import DistributionMode, FeedbackPolicy
+from ltfeedback.feedback import FeedbackPolicy
 from ltfeedback.simulator import (
     RateDistortionModel,
     TrialConfig,
@@ -71,9 +71,8 @@ class TestRunTrial:
         configs = [
             TrialConfig(k=80, seed=5),
             TrialConfig(k=80, seed=6, ser=0.4),
-            TrialConfig(k=80, seed=7, layers=layers, policy=FeedbackPolicy.layer_ack()),
-            TrialConfig(k=80, seed=8,
-                        policy=FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)),
+            TrialConfig(k=80, seed=7, layers=layers, policy=FeedbackPolicy.LAYER_ACK),
+            TrialConfig(k=80, seed=8, policy=FeedbackPolicy.ACK_ADAPTIVE),
         ]
         for config in configs:
             assert run_trial(config).payload_errors == 0
@@ -175,9 +174,8 @@ class TestRunTrial:
 
 class TestDistortion:
     def test_rate_constants(self):
-        model = RateDistortionModel(alpha=0.5)
-        assert model.full_rate == pytest.approx(FULL_RATE, abs=1e-12)
-        r = model.rates(2)
+        assert simulator.FULL_RATE == pytest.approx(FULL_RATE, abs=1e-12)
+        r = RateDistortionModel(alpha=0.5).rates(2)
         assert r[0] == 0.0
         assert r[1] == pytest.approx(FULL_RATE / 2, abs=1e-12)
         assert r[2] == pytest.approx(FULL_RATE, abs=1e-12)

@@ -12,13 +12,13 @@ from scipy import stats
 
 from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
 from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
-from ltfeedback.feedback import DistributionMode, FeedbackKind, FeedbackPolicy
+from ltfeedback.feedback import FeedbackPolicy
 from ltfeedback.simulator import TransmissionTrace, TrialConfig, run_trial, two_layer_config
 from oracles import chi_square_pvalue, lemire_scalar, scalar_draw, scalar_run_trial
 
 LAYERS = two_layer_config(80, 0.5, 9.0)
-ORIGINAL = FeedbackPolicy.per_symbol_ack(DistributionMode.ORIGINAL)
-ADAPTIVE = FeedbackPolicy.per_symbol_ack(DistributionMode.ADAPTIVE)
+ORIGINAL = FeedbackPolicy.ACK_ORIGINAL
+ADAPTIVE = FeedbackPolicy.ACK_ADAPTIVE
 
 
 def trial_rng(master_seed, *key) -> np.random.Generator:
@@ -36,13 +36,10 @@ TRIALS = {
     "ack_adaptive_layered": TrialConfig(k=80, seed=6, layers=LAYERS, policy=ADAPTIVE),
     "layered_no_feedback": TrialConfig(k=80, seed=7, layers=LAYERS),
     "layer_ack": TrialConfig(k=80, seed=(8, 5, 0, 2), layers=LAYERS,
-                             policy=FeedbackPolicy.layer_ack()),
-    "layer_ack_kept_distribution": TrialConfig(
-        k=80, seed=9, layers=LAYERS, policy=FeedbackPolicy.layer_ack(reparameterize=False),
-        ser=0.3),
+                             policy=FeedbackPolicy.LAYER_ACK),
     "deadline_sent": TrialConfig(k=80, seed=(10, 3, 350_000, 0), ser=0.35, deadline=160),
     "deadline_received_layer_ack": TrialConfig(
-        k=80, seed=(11, 5, 450_000, 3), layers=LAYERS, policy=FeedbackPolicy.layer_ack(),
+        k=80, seed=(11, 5, 450_000, 3), layers=LAYERS, policy=FeedbackPolicy.LAYER_ACK,
         ser=0.45, deadline=120, deadline_basis="received"),
     "deadline_received_ack": TrialConfig(k=80, seed=12, policy=ORIGINAL, ser=0.5,
                                          deadline=60, deadline_basis="received"),
@@ -66,11 +63,10 @@ def test_trace_equals_scalar_oracle(name):
 
 
 POLICIES = {
-    "none": FeedbackPolicy.none(),
+    "none": FeedbackPolicy.NONE,
     "ack_original": ORIGINAL,
     "ack_adaptive": ADAPTIVE,
-    "layer_ack": FeedbackPolicy.layer_ack(),
-    "layer_ack_kept_distribution": FeedbackPolicy.layer_ack(reparameterize=False),
+    "layer_ack": FeedbackPolicy.LAYER_ACK,
 }
 
 
@@ -78,7 +74,7 @@ POLICIES = {
 def trial_configs(draw, policy):
     """k <= 120 in 1-3 layers (2-3 under layer acks), erasure rate in
     [0, 0.9], and no deadline or one on either basis."""
-    n_layers = draw(st.integers(2 if policy.kind is FeedbackKind.LAYER_ACK else 1, 3))
+    n_layers = draw(st.integers(2 if policy is FeedbackPolicy.LAYER_ACK else 1, 3))
     k = draw(st.integers(n_layers, 120))
     layers = None
     if n_layers > 1:
