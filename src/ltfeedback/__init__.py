@@ -25,7 +25,7 @@ from .degree import (
     robust_soliton,
     two_layer_reduced_dist,
 )
-from .codec import Decoder, DecoderSnapshot, Encoder, InputBlock, OutputSymbol, ReceiveResult
+from .codec import Decoder, Encoder, InputBlock, OutputSymbol, ReceiveResult
 from .feedback import FeedbackPolicy, apply_feedback
 from .simulator import (
     FULL_RATE,
@@ -62,7 +62,6 @@ __all__ = [
     "OutputSymbol",
     "Encoder",
     "Decoder",
-    "DecoderSnapshot",
     "ReceiveResult",
     "FeedbackPolicy",
     "apply_feedback",

@@ -320,10 +320,6 @@ def _validate_common(cfg: dict):
         raise ValueError("c must be positive")
     if "delta" in cfg and not 0 < cfg["delta"] <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    if "runs" in cfg and cfg["runs"] < 1:
-        raise ValueError("runs must be >= 1")
-    if "seconds" in cfg and cfg["seconds"] < 1:
-        raise ValueError("seconds must be >= 1")
     if "ser" in cfg and isinstance(cfg["ser"], float) and not 0 <= cfg["ser"] <= 1:
         raise ValueError("ser must lie in [0, 1]")
     if "alpha" in cfg and not 0 < cfg["alpha"] < 1:

@@ -16,7 +16,6 @@ that substream, so acknowledgments never force a refill.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "OutputSymbol",
     "Encoder",
     "Decoder",
-    "DecoderSnapshot",
     "ReceiveResult",
 ]
 
@@ -232,20 +230,14 @@ class Encoder:
         self._masses = [w * c for w, c in zip(self._weights, self._counts)]
         self._eligible = sum(self._counts)
 
-    def ack_indices(self, decoded):
-        """Exclude the given input indices from all future symbols.  A set
-        holding every index acknowledged so far removes only its new indices
-        from the ascending lists; any other set replaces the acknowledged
-        set and rebuilds them.  Either way every pool restarts ascending."""
-        decoded = frozenset(decoded)  # no copy of a frozenset
+    def ack_indices(self, indices):
+        """Exclude the given input indices from all future symbols, besides
+        those already acknowledged: only the new ones leave the ascending
+        lists, and every pool restarts ascending."""
         acked = self._acked
-        new = decoded - acked  # indices in acked were checked when they came
+        new = set(indices) - acked  # indices in acked were checked when they came
         if new and (min(new) < 0 or max(new) >= self.block.k):
             raise ValueError("acknowledged indices outside the block")
-        if len(decoded) - len(new) < len(acked):
-            self._acked = set(decoded)
-            self._rebuild_groups()
-            return
         bounds, ascending = self._bounds, self._ascending
         for i in new:
             members = ascending[bisect_right(bounds, i) - 1]
@@ -425,37 +417,6 @@ class _Zeros:
 _ZEROS = _Zeros()
 
 
-class DecoderSnapshot:
-    """What an acknowledgment can carry back to the encoder: the decoded
-    indices and which layers are complete.
-
-    A decoder's snapshot builds `decoded` on its first read, from as many
-    leading keys of the decoder's decoded dict as it held when the snapshot
-    was taken.  Decoding only appends to that dict, so those keys are still
-    the set decoded then; a policy that reads only `layers_complete` builds
-    no set."""
-
-    __slots__ = ("layers_complete", "_decoded", "_source", "_count")
-
-    def __init__(self, decoded, layers_complete):
-        self.layers_complete = tuple(layers_complete)
-        self._decoded, self._source, self._count = frozenset(decoded), None, 0
-
-    @classmethod
-    def _of(cls, decoded: dict, layers_complete: tuple) -> "DecoderSnapshot":
-        snap = cls.__new__(cls)
-        snap.layers_complete = layers_complete
-        snap._decoded, snap._source, snap._count = None, decoded, len(decoded)
-        return snap
-
-    @property
-    def decoded(self) -> frozenset:
-        if self._decoded is None:
-            self._decoded = frozenset(islice(self._source, self._count))
-            self._source = None
-        return self._decoded
-
-
 class Decoder:
     """Peeling decoder with a FIFO ripple and a buffer of unresolved symbols.
 
@@ -473,12 +434,15 @@ class Decoder:
         self._decoded: dict[int, int] = {}
         self._left, self._index_xor, self._value = [], [], []
         self._holders = [[] for _ in range(k)]
-        self._ripple: list[int] = []
         self.redundant_count = 0
         sizes = (k,) if layers is None else layers.layer_sizes
         self._undecoded = list(sizes)
         self._layer_at = sum(([li] * size for li, size in enumerate(sizes)), [])
-        self._snapshot = None
+
+    @property
+    def decoded(self):
+        """The decoded indices, in decode order: a live, read-only view."""
+        return self._decoded.keys()
 
     @property
     def decoded_count(self) -> int:
@@ -500,17 +464,8 @@ class Decoder:
     def buffered_count(self) -> int:
         return sum(n > 1 for n in self._left)
 
-    @property
-    def ripple_size(self) -> int:
-        return len(self._ripple)
-
     def decoded_payloads(self) -> dict[int, bytes]:
         return {i: v.to_bytes(self.width, "big") for i, v in self._decoded.items()}
-
-    def snapshot(self) -> DecoderSnapshot:
-        if self._snapshot is None:
-            self._snapshot = DecoderSnapshot._of(self._decoded, self.layers_complete)
-        return self._snapshot
 
     def receive(self, sym: OutputSymbol) -> ReceiveResult:
         """Strip, then buffer / ripple / discard the symbol and peel to
@@ -552,11 +507,13 @@ class Decoder:
         return reduced, self._drain(sid) if reduced == 1 else 0
 
     def _drain(self, first: int) -> int:
+        """Peel from symbol `first`, of count one, until the ripple, a FIFO
+        of degree-one symbols local to the call, runs dry.  Returns the
+        inputs decoded."""
         left, index_xor, values = self._left, self._index_xor, self._value
         holders, decoded, layer_at = self._holders, self._decoded, self._layer_at
         undecoded = self._undecoded
-        ripple = self._ripple
-        ripple.append(first)
+        ripple = [first]
         count = 0
         for sid in ripple:  # grows while it is walked
             if left[sid] != 1:
@@ -576,6 +533,4 @@ class Decoder:
                     if n == 2:
                         ripple.append(s)
             holders[v] = None
-        ripple.clear()
-        self._snapshot = None
         return count

@@ -5,16 +5,16 @@ either rebuilding its stock distribution over the shrunken block or
 switching to the zero-redundancy adaptive distribution; and whole-layer
 acknowledgment for layered codes (a single feedback message per layer).
 Feedback is ideal: cost-free, loss-free, and in effect before the next
-encoded symbol.  `apply_feedback` changes nothing when the decoder state it
-is given has not changed since the last call, so a caller may apply it
-only after decode events.
+encoded symbol.  `apply_feedback` changes nothing when the decoder it is
+given has not changed since the last call, so a caller may apply it only
+after decode events.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .codec import DecoderSnapshot, Encoder
+from .codec import Decoder, Encoder
 from .degree import adaptive_degree_dist
 
 __all__ = ["FeedbackPolicy", "apply_feedback"]
@@ -36,8 +36,9 @@ class FeedbackPolicy(Enum):
     LAYER_ACK = "layer_ack"
 
 
-def apply_feedback(enc: Encoder, snapshot: DecoderSnapshot, policy: FeedbackPolicy) -> Encoder:
-    """Update the encoder from the decoder state the feedback channel reports.
+def apply_feedback(enc: Encoder, dec: Decoder, policy: FeedbackPolicy) -> Encoder:
+    """Update the encoder from what the decoder reports over the feedback
+    channel: `dec.decoded`, the decoded indices, and `dec.layers_complete`.
 
     Under a per-symbol ack every decoded symbol leaves the eligible set and
     the distribution is rebuilt over what remains.  Under LAYER_ACK a layer
@@ -50,13 +51,13 @@ def apply_feedback(enc: Encoder, snapshot: DecoderSnapshot, policy: FeedbackPoli
     if policy is FeedbackPolicy.LAYER_ACK:
         if enc.block.layers is None:
             raise ValueError("layer acknowledgment requires a layered block")
-        for li, complete in enumerate(snapshot.layers_complete):
+        for li, complete in enumerate(dec.layers_complete):
             if complete and li not in enc.acked_layers:
                 enc.ack_layer(li)
                 _rebuild(enc)
         return enc
 
-    decoded = snapshot.decoded
+    decoded = dec.decoded
     if len(decoded) == enc.acked_count:
         return enc  # decoded sets only grow, so equal size means no news
     enc.ack_indices(decoded)

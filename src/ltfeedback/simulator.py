@@ -95,6 +95,8 @@ class TrialConfig:
                              "symbols would never be reached")
         if self.layers is not None and self.layers.k != self.k:
             raise ValueError("layer sizes must sum to k")
+        if self.policy is FeedbackPolicy.LAYER_ACK and self.layers is None:
+            raise ValueError("layer acknowledgment requires layers")
 
 
 @dataclass
@@ -223,7 +225,7 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
             completion_sent = sent
             completion_received = received
         elif feedback:
-            apply_feedback(encoder, decoder.snapshot(), policy)
+            apply_feedback(encoder, decoder, policy)
 
     errors = sum(1 for i, value in decoded.items() if payloads[i] != value)
 
@@ -372,9 +374,11 @@ def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
                  layers: Optional[LayerConfig] = None, **trial) -> dict:
     """{name: [reduce(name, traces) at each erasure rate of `grid`]}, over
     `trials` trials of each named scheme per rate; `trial` holds the other
-    TrialConfig fields.  Names are checked before any trial runs.  One pool
-    serves the whole batch, none for one worker, and each group of traces is
-    reduced and freed before the next one is collected."""
+    TrialConfig fields.  Names and `trials` are checked before any trial
+    runs.  One pool serves the whole batch, none for one worker, and each
+    group of traces is reduced and freed before the next one is collected."""
+    if trials < 1:
+        raise ValueError("trials per scheme must be >= 1")
     unknown = [name for name in schemes if name not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(SCHEMES)}")

@@ -99,7 +99,7 @@ def test_c04_adaptive_ack_never_emits_redundant_symbols():
         enc = Encoder(block, RSD100, rng, dist_builder=builder)
         dec = Decoder(100, 8)
         while not dec.is_complete:
-            apply_feedback(enc, dec.snapshot(), policy)
+            apply_feedback(enc, dec, policy)
             result = dec.receive(enc.encode_next())
             receptions += 1
             redundant += result.redundant

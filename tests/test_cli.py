@@ -251,6 +251,16 @@ class TestFailureModes:
                    "--seconds", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [["simulate", "single", "--runs", "0"],
+                                      ["simulate", "distortion", "--seconds", "0"]],
+                             ids=["runs", "seconds"])
+    def test_zero_trials_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        out = tmp_path / "never.csv"
+        assert main(argv + ["--k", "20", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "trials per scheme must be >= 1" in capsys.readouterr().err
+
     def test_received_deadline_at_total_erasure_exits_2_before_any_trial(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
@@ -354,6 +364,33 @@ class TestEntryPoints:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_benchmark_tracer_counts_feedback_messages(self):
+        # the tracer counts a message when apply_feedback changes the acked
+        # indices or fires a layer ack; every per-symbol call after a decode
+        # event acks something, and one k=100 trial fires one layer ack
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(str(root / d) for d in ("src", "perfbench")))
+        script = """
+import ltfeedback, ltfeedback.cli, tracing
+from ltfeedback.feedback import FeedbackPolicy
+from ltfeedback.simulator import TrialConfig, two_layer_config
+tracer = tracing.install(ltfeedback)
+for layers, policy in [(None, FeedbackPolicy.ACK_ORIGINAL),
+                       (two_layer_config(100, 0.5, 9.0), FeedbackPolicy.LAYER_ACK)]:
+    tracer.spans.clear()
+    tracer.counts.clear()
+    ltfeedback.simulator.run_trial(TrialConfig(k=100, seed=2, layers=layers, policy=policy))
+    print(tracer.summary()["feedback.apply_feedback"][0], tracer.counts["feedback.messages"])
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        (acks, ack_messages), (layer_calls, layer_messages) = (
+            map(int, line.split()) for line in proc.stdout.split("\n")[:2])
+        assert acks > 0 and ack_messages == acks
+        assert (layer_calls, layer_messages) == (29, 1)
 
     def test_reused_parser_writes_what_separate_processes_write(self, tmp_path, capsys):
         # main() shares one argument parser per process; an argparse error

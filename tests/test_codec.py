@@ -116,24 +116,27 @@ class TestEncoder:
 
     @pytest.mark.parametrize("layers", [None, LayerConfig((15, 25), (3.0, 1.0))])
     def test_incremental_ack_equals_rebuild(self, layers):
-        # growing sets remove only their new indices, a set that drops an
-        # acked index rebuilds; either way the state equals a fresh encoder's
-        # rebuilt from the same set, pools ascending again
+        # acks only grow: each set removes only its new indices, and one that
+        # misses an earlier ack (17) leaves it excluded; the state equals a
+        # fresh encoder's rebuilt from the union, pools ascending again
         rng = np.random.default_rng(12)
         block = InputBlock.random(40, 8, rng, layers)
         dist = robust_soliton(RsdParams(40, 0.1, 1.0))
         enc = Encoder(block, dist, rng)
-        acks = [{3}, {3, 17, 30}, {3, 17, 30}, set(range(15)) | {30}, {1, 2}, set(range(39))]
+        acks = [{3}, {3, 17, 30}, {3, 17, 30}, set(range(15)) | {30}, set(range(39))]
+        union = set()
         for acked in acks:
             for _ in range(5):
                 enc.encode_next()  # draws leave the pools out of order
             enc.ack_indices(acked)
+            union |= acked
             fresh = Encoder(block, dist, np.random.default_rng(0))
-            fresh._acked = set(acked)
+            fresh._acked = set(union)
             fresh._rebuild_groups()
             for name in ("_acked", "_pools", "_counts", "_masses", "_weights"):
                 assert getattr(enc, name) == getattr(fresh, name), name
-            assert enc.eligible_count == 40 - len(acked)
+            assert union - acked <= enc.acked  # earlier acks this set misses stay
+            assert enc.eligible_count == 40 - len(union)
 
     def test_acked_indices_never_appear(self):
         rng = np.random.default_rng(7)
@@ -213,7 +216,7 @@ class TestDecoder:
         dec = Decoder(4, 1)
         dec.receive(OutputSymbol(frozenset({0, 1}), bytes([3]), 0))
         dec.receive(OutputSymbol(frozenset({1, 2}), bytes([6]), 1))
-        assert dec.ripple_size == 0 and dec.buffered_count == 2
+        assert dec.buffered_count == 2
         result = dec.receive(OutputSymbol(frozenset({0}), bytes([1]), 2))
         assert result.newly_decoded == 3
         assert dec.decoded_payloads() == {0: bytes([1]), 1: bytes([2]), 2: bytes([4])}
@@ -240,17 +243,16 @@ class TestDecoder:
         assert dec.redundant_count == 0
         assert dec.receive(OutputSymbol(frozenset({0}), bytes([1]), 2)).newly_decoded == 2
 
-    def test_snapshot_keeps_the_decoded_set_it_was_taken_at(self):
-        layers = LayerConfig((2, 2), (5.0, 1.0))
-        dec = Decoder(4, 1, layers)
+    def test_decoded_is_a_live_view_in_decode_order(self):
+        dec = Decoder(4, 1)
+        decoded = dec.decoded
         dec.receive(OutputSymbol(frozenset({2}), b"a", 0))
-        early = dec.snapshot()
-        assert dec.snapshot() is early  # unchanged state, same snapshot
-        dec.receive(OutputSymbol(frozenset({0}), b"b", 1))
-        dec.receive(OutputSymbol(frozenset({1}), b"c", 2))
-        late = dec.snapshot()
-        assert early.decoded == frozenset({2}) and early.layers_complete == (False, False)
-        assert late.decoded == frozenset({0, 1, 2}) and late.layers_complete == (True, False)
+        dec.receive(OutputSymbol(frozenset({0, 3}), b"b", 1))
+        assert list(decoded) == [2]
+        dec.receive(OutputSymbol(frozenset({3}), b"c", 2))  # releases 0 after 3
+        assert list(decoded) == [2, 3, 0] and decoded == {0, 2, 3}
+        with pytest.raises(AttributeError):
+            decoded.add(1)
 
     def test_completion_flags(self):
         dec = Decoder(2, 1)
@@ -332,7 +334,6 @@ class TestDecoderProperties:
             payload = xor_of(block, neighbors)
             assert dec.receive(OutputSymbol(neighbors, payload, seq)) == ref.receive(neighbors,
                                                                                      payload)
-            assert dec.ripple_size == ref.ripple_size
             assert dec.buffered_count == ref.buffered_count
             assert dec.undecoded_per_layer == ref.undecoded_per_layer
         assert dec.decoded_payloads() == ref.decoded_payloads()

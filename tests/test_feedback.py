@@ -1,11 +1,13 @@
 """Tests for acknowledgment policies and their effect on the encoder."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ltfeedback.codec import Decoder, DecoderSnapshot, Encoder, InputBlock
+from ltfeedback.codec import Decoder, Encoder, InputBlock
 from ltfeedback.degree import (
     LayerConfig,
     RsdParams,
@@ -27,7 +29,8 @@ def make_encoder(k, rng, layers=None):
 
 
 def snapshot_of(decoded, layers_complete=(False,)):
-    return DecoderSnapshot(decoded=frozenset(decoded), layers_complete=layers_complete)
+    """A stand-in for a decoder: all that apply_feedback reads of one."""
+    return SimpleNamespace(decoded=frozenset(decoded), layers_complete=layers_complete)
 
 
 class TestNonePolicy:
@@ -71,7 +74,7 @@ class TestPerSymbolAck:
         dec = Decoder(50, 8)
         policy = FeedbackPolicy.ACK_ADAPTIVE
         for _ in range(300):
-            apply_feedback(enc, dec.snapshot(), policy)
+            apply_feedback(enc, dec, policy)
             if enc.eligible_count == 0:
                 break
             sym = enc.encode_next()
@@ -85,7 +88,7 @@ class TestPerSymbolAck:
         dec = Decoder(100, 8)
         policy = FeedbackPolicy.ACK_ADAPTIVE
         while not dec.is_complete:
-            apply_feedback(enc, dec.snapshot(), policy)
+            apply_feedback(enc, dec, policy)
             result = dec.receive(enc.encode_next())
             assert not result.redundant
         assert dec.redundant_count == 0
@@ -106,7 +109,7 @@ class TestPerSymbolAck:
             enc = make_encoder(k, rng)
             dec = Decoder(k, 8)
             while not dec.is_complete:
-                apply_feedback(enc, dec.snapshot(), policy)
+                apply_feedback(enc, dec, policy)
                 dist = enc.distribution
                 result = dec.receive(enc.encode_next())
                 observed[result.reduced_degree] += 1
@@ -166,7 +169,7 @@ class TestLayerAck:
         policy = FeedbackPolicy.LAYER_ACK
         receptions = 0
         while not dec.is_complete:
-            apply_feedback(enc, dec.snapshot(), policy)
+            apply_feedback(enc, dec, policy)
             dec.receive(enc.encode_next())
             receptions += 1
             assert receptions < 20_000
@@ -240,12 +243,11 @@ class TestAckProperties:
         for _ in range(50 * k):
             if dec.is_complete:
                 break
-            snapshot = dec.snapshot()
-            apply_feedback(enc, snapshot, policy)
+            apply_feedback(enc, dec, policy)
             if per_symbol:
-                acked |= snapshot.decoded
+                acked |= dec.decoded
             else:
-                for li, complete in enumerate(snapshot.layers_complete):
+                for li, complete in enumerate(dec.layers_complete):
                     if complete:
                         acked |= set(range(bounds[li], bounds[li + 1]))
             sym = enc.encode_next()

@@ -50,6 +50,11 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="received"):
             TrialConfig(k=10, seed=0, ser=1.0, deadline=20, deadline_basis="received")
 
+    def test_layer_ack_without_layers_rejected(self):
+        # caught at construction, not at the trial's first decode event
+        with pytest.raises(ValueError, match="layer acknowledgment requires layers"):
+            TrialConfig(k=50, seed=1, policy=FeedbackPolicy.LAYER_ACK)
+
     def test_zero_received_deadline_at_total_erasure_ends_at_once(self):
         trace = run_trial(TrialConfig(k=10, seed=0, ser=1.0, deadline=0,
                                       deadline_basis="received"))
@@ -411,6 +416,22 @@ EXPERIMENTS = {
     "distortion": lambda workers: experiment_deadline_distortion(
         k=30, alpha=0.5, beta=9.0, ser_grid=[0.0, 0.5], seconds=2, seed=1, workers=workers),
 }
+
+
+ZERO_TRIALS = {
+    "single": lambda: experiment_single_layer_feedback(k=10, runs=0, seed=1),
+    "two-layer": lambda: experiment_two_layer_ack(k=30, alpha=0.5, beta=9.0, runs=0, seed=1),
+    "distortion": lambda: experiment_deadline_distortion(
+        k=30, alpha=0.5, beta=9.0, ser_grid=[0.0, 0.5], seconds=0, seed=1),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(ZERO_TRIALS))
+def test_zero_trials_rejected_before_any_trial(monkeypatch, experiment):
+    # no aggregate of zero trials: not an IndexError, not a NaN mean
+    monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+    with pytest.raises(ValueError, match="trials per scheme must be >= 1"):
+        ZERO_TRIALS[experiment]()
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
