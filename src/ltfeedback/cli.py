@@ -68,8 +68,8 @@ _HELP = {
     "out": "output CSV path",
     "config": "JSON config file (flags override it)",
     "k": "block length",
-    "c": "soliton spike constant",
-    "delta": "soliton failure bound, in (0,1]",
+    "c": "soliton spike constant, > 0, with spike scale c*ln(k/delta)*sqrt(k) <= k",
+    "delta": "soliton failure bound, in (0,1], with spike scale c*ln(k/delta)*sqrt(k) <= k",
     "undecoded": "symbols still unknown at the receiver",
     "analyze n-layer undecoded": "comma list of undecoded counts per layer",
     "alpha": "base-layer fraction of the block",
@@ -149,12 +149,14 @@ def _effective(args: argparse.Namespace, name: str) -> dict:
 def _file_value(key: str, value, want: type):
     """A config-file value must have the type its flag parses to, which is
     the type of the key's default.  A bool is not an int; a float key takes
-    an int, as its flag would."""
+    an int, as its flag would, and a key with choices takes only one of them."""
     if want is float and type(value) is int:
         return float(value)
     if type(value) is not want:
         raise ValueError(f"config key '{key}' must be {want.__name__}, "
                          f"not {type(value).__name__} {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValueError(f"config key '{key}' must be one of {_CHOICES[key]}, not {value!r}")
     return value
 
 
@@ -192,7 +194,9 @@ def _rsd(cfg: dict):
 
 
 def _workers(cfg: dict) -> int:
-    threads = cfg.get("threads", 0)
+    threads = cfg["threads"]
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, not {threads}")
     return os.cpu_count() or 1 if threads == 0 else threads
 
 
@@ -207,16 +211,14 @@ def _cmd_analyze_reduced_acked(cfg: dict, out: str):
 
 
 def _cmd_analyze_adaptive(cfg: dict, out: str):
-    dist = _rsd(cfg)
-    undecoded = cfg["undecoded"]
-    if not 1 <= undecoded <= cfg["k"]:
-        raise ValueError("undecoded must lie in 1..k")
-    rho = adaptive_degree_dist(dist, undecoded)
-    rows = [(d, rho.pmf[d]) for d in range(1, undecoded + 1)]
+    rho = adaptive_degree_dist(_rsd(cfg), cfg["undecoded"])
+    rows = [(d, rho.pmf[d]) for d in range(1, rho.k + 1)]
     write_csv(out, ["degree", "probability"], rows)
 
 
 def _grid_points(limit: int, step: int) -> list:
+    if step < 1:
+        raise ValueError(f"grid_step must be >= 1, not {step}")
     points = list(range(0, limit + 1, step))
     if points[-1] != limit:
         points.append(limit)
@@ -226,25 +228,16 @@ def _grid_points(limit: int, step: int) -> list:
 def _cmd_analyze_two_layer(cfg: dict, out: str):
     dist = _rsd(cfg)
     layers = two_layer_config(cfg["k"], cfg["alpha"], cfg["beta"])
-    step = cfg["grid_step"]
-    if step < 1:
-        raise ValueError("grid_step must be >= 1")
-    base, refine = (_grid_points(m, step) for m in layers.layer_sizes)
+    base, refine = (_grid_points(m, cfg["grid_step"]) for m in layers.layer_sizes)
     grid = layered_redundancy(dist, layers, (base, refine))
     rows = [(lb, lr, grid[a, b]) for a, lb in enumerate(base) for b, lr in enumerate(refine)]
     write_csv(out, ["undecoded_base", "undecoded_refine", "redundancy_prob"], rows)
 
 
 def _cmd_analyze_n_layer(cfg: dict, out: str):
-    sizes = _int_list(cfg["layer_sizes"])
-    weights = _float_list(cfg["weights"])
-    undecoded = _int_list(cfg["undecoded"])
-    if sum(sizes) != cfg["k"]:
-        raise ValueError("layer sizes must sum to k")
-    layers = LayerConfig(sizes, weights)
-    dist = _rsd(cfg)
-    pmf = n_layer_reduced_dist(dist, layers, undecoded)
-    header = [f"reduced_{n + 1}" for n in range(len(sizes))] + ["probability"]
+    layers = LayerConfig(_int_list(cfg["layer_sizes"]), _float_list(cfg["weights"]))
+    pmf = n_layer_reduced_dist(_rsd(cfg), layers, _int_list(cfg["undecoded"]))
+    header = [f"reduced_{n + 1}" for n in range(pmf.ndim)] + ["probability"]
     rows = [tuple(idx) + (pmf[idx],) for idx in np.ndindex(pmf.shape)]
     write_csv(out, header, rows)
 
@@ -257,7 +250,8 @@ def _cmd_simulate_single(cfg: dict, out: str) -> dict:
     rows = [(name, received, frac) for name, stats in result.schemes.items()
             for received, frac in enumerate(stats.mean_undecoded_frac)]
     write_csv(out, ["scheme", "received", "mean_undecoded_frac"], rows)
-    return {name: s.mean_overhead for name, s in result.schemes.items()}
+    overheads = {name: s.mean_overhead for name, s in result.schemes.items()}
+    return {**overheads, "payload_errors": result.payload_errors}
 
 
 def _cmd_simulate_two_layer(cfg: dict, out: str) -> dict:
@@ -279,13 +273,12 @@ def _cmd_simulate_two_layer(cfg: dict, out: str) -> dict:
         rows += [(name, layer, received, frac) for layer, curve in curves
                  for received, frac in enumerate(curve)]
     write_csv(out, ["scheme", "layer", "received", "mean_undecoded_frac"], rows)
-    return {name: s.mean_overhead for name, s in result.schemes.items()}
+    overheads = {name: s.mean_overhead for name, s in result.schemes.items()}
+    return {**overheads, "payload_errors": result.payload_errors}
 
 
 def _cmd_simulate_distortion(cfg: dict, out: str) -> dict:
     grid = _ser_grid(cfg["ser"])
-    if (grid < 0).any() or (grid > 1).any():
-        raise ValueError("erasure rates must lie in [0, 1]")
     result = experiment_deadline_distortion(
         k=cfg["k"], alpha=cfg["alpha"], beta=cfg["beta"], ser_grid=grid,
         seconds=cfg["seconds"], seed=cfg["seed"], c=cfg["c"], delta=cfg["delta"],
@@ -313,26 +306,6 @@ _HANDLERS = {
 }
 
 
-def _validate_common(cfg: dict):
-    if "k" in cfg and cfg["k"] < 1:
-        raise ValueError("k must be >= 1")
-    if "c" in cfg and not cfg["c"] > 0:
-        raise ValueError("c must be positive")
-    if "delta" in cfg and not 0 < cfg["delta"] <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    if "ser" in cfg and isinstance(cfg["ser"], float) and not 0 <= cfg["ser"] <= 1:
-        raise ValueError("ser must lie in [0, 1]")
-    if "alpha" in cfg and not 0 < cfg["alpha"] < 1:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if "beta" in cfg and not cfg["beta"] > 0:
-        raise ValueError("beta must be positive")
-    if "threads" in cfg and cfg["threads"] < 0:
-        raise ValueError("threads must be >= 0")
-    for key, choices in _CHOICES.items():
-        if key in cfg and cfg[key] not in choices:
-            raise ValueError(f"{key} must be one of {choices}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -340,7 +313,6 @@ def main(argv=None) -> int:
     handler = _HANDLERS[name][0]
     try:
         cfg = _effective(args, name)
-        _validate_common(cfg)
         out = _out_path(args, name.replace(" ", "_").replace("-", "_") + ".csv")
         extra = handler(cfg, out)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

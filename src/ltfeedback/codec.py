@@ -61,16 +61,6 @@ class _Stream:
         return values[self.pos - 1]
 
 
-def _uniform_stream(rng: np.random.Generator) -> _Stream:
-    """The uniforms in [0, 1) of rng.random()."""
-    return _Stream(rng.random)
-
-
-def _word_stream(rng: np.random.Generator) -> _Stream:
-    """The raw 64-bit words of a PCG64 generator."""
-    return _Stream(rng.bit_generator.random_raw)
-
-
 def _lemire_index(bound: int, word: Callable[[], int]) -> int:
     """An index exactly uniform in [0, bound), 1 <= bound < 2^64, by Lemire's
     nearly divisionless method: the high word of word() * bound, rejecting
@@ -165,10 +155,10 @@ class Encoder:
         self.block = block
         # PCG64 whatever rng's bit generator is: every raw word has 64 bits
         degrees, groups, indices = rng.bit_generator.seed_seq.spawn(3)
-        self._degree_u = _uniform_stream(np.random.default_rng(degrees))
+        self._degree_u = _Stream(np.random.default_rng(degrees).random)
         self._group_u = (None if block.layers is None
-                         else _uniform_stream(np.random.default_rng(groups)))
-        self._word = _word_stream(np.random.default_rng(indices))
+                         else _Stream(np.random.default_rng(groups).random))
+        self._word = _Stream(np.random.default_rng(indices).bit_generator.random_raw)
         self.dist_builder = dist_builder
         self._payloads = block.payload_ints()
         self._bounds = (0, block.k) if block.layers is None else block.layers.boundaries()

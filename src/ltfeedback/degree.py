@@ -46,8 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# wallenius_pmf is not called here; perfbench's tracer wraps
-# `degree.wallenius_pmf`, so the name stays bound in this module.
+# log_binomial and wallenius_pmf are not called here; perfbench's tracer wraps
+# them at `degree.log_binomial` and `degree.wallenius_pmf`, so the names stay bound.
 from .combinatorics import level_sums, log_binomial, wallenius_pmf, wallenius_table  # noqa: F401
 
 __all__ = [
@@ -129,7 +129,8 @@ class RsdParams:
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
         if self.spike_scale > self.k:
-            raise ValueError("spike scale c*ln(k/delta)*sqrt(k) exceeds k")
+            raise ValueError(f"spike scale c*ln(k/delta)*sqrt(k) = {self.spike_scale:.4g} "
+                             f"exceeds k = {self.k}")
 
     @property
     def spike_scale(self) -> float:
@@ -235,6 +236,14 @@ def reduced_degree_dist(original: DegreeDistribution, undecoded: int) -> DegreeD
     return reduced_degree_dist_acked(original, undecoded, 0)
 
 
+def _check_counts(k: int, undecoded: int, acked: int) -> None:
+    """`undecoded` of k symbols are unknown, `acked` of the rest acknowledged."""
+    if not 0 <= undecoded <= k:
+        raise ValueError(f"undecoded count {undecoded} must lie in 0..k = {k}")
+    if not 0 <= acked <= k - undecoded:
+        raise ValueError(f"acked count {acked} must lie in 0..k-undecoded = {k - undecoded}")
+
+
 def redundancy_prob_acked(original: DegreeDistribution, undecoded: int, acked: int) -> float:
     """Probability an arriving symbol is entirely redundant when the encoder
     excludes `acked` acknowledged symbols and `undecoded` remain unknown.
@@ -246,10 +255,7 @@ def redundancy_prob_acked(original: DegreeDistribution, undecoded: int, acked: i
     Strictly decreasing in `acked` for undecoded >= 1.
     """
     k = original.k
-    if not 0 <= undecoded <= k:
-        raise ValueError("undecoded count must lie in 0..k")
-    if not 0 <= acked <= k - undecoded:
-        raise ValueError("acked count must lie in 0..k-undecoded")
+    _check_counts(k, undecoded, acked)
     if undecoded == 0:
         return 1.0
     n = k - acked
@@ -279,8 +285,7 @@ def redundancy_curve_acked(original: DegreeDistribution, undecoded: int) -> np.n
     1e-15 of redundancy_prob_acked's dot products.
     """
     k = original.k
-    if not 0 <= undecoded <= k:
-        raise ValueError("undecoded count must lie in 0..k")
+    _check_counts(k, undecoded, 0)
     spare = k - undecoded
     if undecoded == 0:
         return np.ones(spare + 1)
@@ -315,10 +320,7 @@ def reduced_degree_dist_acked(
     `original`: full acknowledgment freezes the stripping shift entirely.
     """
     k = original.k
-    if not 0 <= undecoded <= k:
-        raise ValueError("undecoded count must lie in 0..k")
-    if not 0 <= acked <= k - undecoded:
-        raise ValueError("acked count must lie in 0..k-undecoded")
+    _check_counts(k, undecoded, acked)
     out = np.zeros(k + 1)
     out[: undecoded + 1] = _thinned(original.pmf, k - acked, undecoded)
     return DegreeDistribution(k, out)
@@ -363,7 +365,7 @@ class LayerConfig:
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least two layers")
         if any(m < 1 for m in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
+            raise ValueError(f"layer sizes {self.layer_sizes} must be positive")
         if any(not (w > 0 and np.isfinite(w)) for w in self.weight_ratios):
             raise ValueError("weight ratios must be strictly positive and finite")
 
@@ -390,15 +392,20 @@ class LayerConfig:
 
 
 def _split_table(marked: int, group_size: int) -> np.ndarray:
-    """H[d, j] = P(d of j uniformly chosen group members are marked)."""
-    d = np.arange(marked + 1)
-    j = np.arange(group_size + 1)
-    log_h = (
-        log_binomial(marked, d)[:, None]
-        + log_binomial(group_size - marked, j[None, :] - d[:, None])
-        - log_binomial(group_size, j)[None, :]
-    )
-    return np.exp(log_h)
+    """H[d, j] = P(d of j uniformly chosen group members are marked), u of
+    m marked: pick j+1 is one of m-j members left, u-d of them marked, so
+        H[d, j+1] = (H[d, j]*(m-u-j+d) + H[d-1, j]*(u-d+1)) / (m-j),
+    a convex combination, with m-u-j+d clipped at 0 where H[d, j] is 0."""
+    u, m = marked, group_size
+    d = np.arange(u + 1)
+    table = np.zeros((m + 1, u + 1))  # table[j] = H[:, j]
+    table[0, 0] = 1.0
+    for j in range(m):
+        prev, row = table[j], table[j + 1]
+        np.multiply(prev, np.maximum(m - u - j + d, 0), out=row)
+        row[1:] += prev[:-1] * (u - d[:-1])
+        row /= m - j
+    return np.ascontiguousarray(table.T)
 
 
 def two_layer_reduced_dist(
@@ -411,8 +418,6 @@ def two_layer_reduced_dist(
     neighbors) after stripping, for a two-layer weighted code: the N = 2
     case of n_layer_reduced_dist, h_base @ W @ h_refine.T, of shape
     (undecoded_base+1, undecoded_refine+1)."""
-    if layers.n_layers != 2:
-        raise ValueError("two_layer_reduced_dist requires exactly two layers")
     return n_layer_reduced_dist(original, layers, (undecoded_base, undecoded_refine))
 
 
@@ -420,7 +425,7 @@ def _layer_split(original: DegreeDistribution, layers: LayerConfig) -> np.ndarra
     """W[j] = pmf[sum(j)] * T[j], the probability that a symbol takes j_n
     neighbors from layer n, with T the Wallenius table of the layer urn."""
     if original.k != layers.k:
-        raise ValueError("distribution block length must match layer config")
+        raise ValueError(f"block length k = {original.k} differs from the layers' {layers.k}")
     table = wallenius_table(layers.layer_sizes, layers.weight_ratios)
     return original.pmf[level_sums(table.shape)] * table
 
@@ -457,8 +462,8 @@ def n_layer_reduced_dist(
     """
     und = tuple(int(u) for u in undecoded)
     _check_undecoded(layers, [(u,) for u in und])
-    splits = [_split_table(u, m) for u, m in zip(und, layers.layer_sizes)]
-    return _contract(_layer_split(original, layers), splits)
+    joint = _layer_split(original, layers)
+    return _contract(joint, [_split_table(u, m) for u, m in zip(und, layers.layer_sizes)])
 
 
 def _miss_table(points, group_size: int) -> np.ndarray:

@@ -49,8 +49,6 @@ def apply_feedback(enc: Encoder, dec: Decoder, policy: FeedbackPolicy) -> Encode
         return enc
 
     if policy is FeedbackPolicy.LAYER_ACK:
-        if enc.block.layers is None:
-            raise ValueError("layer acknowledgment requires a layered block")
         for li, complete in enumerate(dec.layers_complete):
             if complete and li not in enc.acked_layers:
                 enc.ack_layer(li)

@@ -29,7 +29,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,8 @@ PAYLOAD_WIDTH = 8  # bytes per source symbol
 @dataclass(frozen=True)
 class TrialConfig:
     """Everything one transmission trial needs.  `seed` is a master seed or a
-    tuple (master seed, *spawn key)."""
+    tuple (master seed, *spawn key).  The robust soliton must exist at k and
+    at every size the policy rebuilds it at, so no trial fails part way."""
 
     k: int
     seed: object = 0
@@ -97,6 +98,18 @@ class TrialConfig:
             raise ValueError("layer sizes must sum to k")
         if self.policy is FeedbackPolicy.LAYER_ACK and self.layers is None:
             raise ValueError("layer acknowledgment requires layers")
+        RsdParams(self.k, self.c, self.delta)
+        # sizes 1..8 decide every size below k: c*ln(n/delta)/sqrt(n) peaks at n = delta*e^2
+        rebuilt = range(1, min(self.k, 9)) if self.policy is FeedbackPolicy.ACK_ORIGINAL else ()
+        if self.policy is FeedbackPolicy.LAYER_ACK:  # what any proper subset of layers leaves
+            m = self.layers.layer_sizes
+            rebuilt = sorted({sum(left) for r in range(1, len(m)) for left in combinations(m, r)})
+        for n in rebuilt:
+            try:
+                RsdParams(n, self.c, self.delta)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{self.policy.value} rebuilds the soliton at size {n}: {exc}") from None
 
 
 @dataclass
@@ -144,8 +157,9 @@ class TransmissionTrace:
 
 
 def _point_key(ser: float) -> int:
-    """Seed key of an erasure rate: the same rate on any grid draws the same trials."""
-    return round(ser * 10**6)
+    """Seed key of an erasure rate: the same rate on any grid draws the same
+    trials.  A rate that is not finite is left for TrialConfig to refuse."""
+    return round(ser * 10**6) if math.isfinite(ser) else ser
 
 
 def run_trial(config: TrialConfig) -> TransmissionTrace:
@@ -409,6 +423,10 @@ def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
 class SchemeExperiment:
     schemes: dict  # name -> SchemeStats
 
+    @property
+    def payload_errors(self) -> int:
+        return sum(s.payload_errors for s in self.schemes.values())
+
 
 def _compare(schemes, runs: int, seed, ser: float, workers: int, **trial) -> SchemeExperiment:
     results = _run_schemes(schemes, (ser,), runs, seed, workers, _aggregate, **trial)
@@ -431,9 +449,7 @@ def experiment_single_layer_feedback(
 
 
 def two_layer_config(k: int, alpha: float, beta: float) -> LayerConfig:
-    base = round(alpha * k)
-    if not 0 < base < k:
-        raise ValueError("alpha must leave both layers nonempty")
+    base = round(alpha * k) if 0 < alpha < 1 else 0  # LayerConfig refuses an empty layer
     return LayerConfig((base, k - base), (beta, 1.0))
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from ltfeedback import cli, simulator
 from ltfeedback.cli import main
+from ltfeedback.codec import Decoder
 from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
 from oracles import sample_degrees, weighted_strip_counts
 
@@ -187,6 +188,27 @@ class TestSimulateCommands:
         assert cfg["k"] == 80 and cfg["seed"] == 11 and cfg["ack"] == "layer"
         assert manifest["version"].startswith("ltfeedback ")
 
+    @pytest.mark.parametrize("command", ["single", "two-layer"])
+    def test_manifest_reports_payload_errors(self, tmp_path, monkeypatch, command):
+        # the input the first ripple symbol decodes gets a flipped bit, as in
+        # test_wrong_decoded_value_is_reported
+        args = ["simulate", command, "--k", "30", "--runs", "2", "--threads", "1"]
+        clean, bad = tmp_path / "clean.csv", tmp_path / "bad.csv"
+        assert main(args + ["--out", str(clean)]) == 0
+        drain, corrupted = Decoder._drain, []
+
+        def corrupting_drain(self, first):
+            if not corrupted:
+                self._value[first] ^= 1
+                corrupted.append(first)
+            return drain(self, first)
+
+        monkeypatch.setattr(Decoder, "_drain", corrupting_drain)
+        assert main(args + ["--out", str(bad)]) == 0
+        errors = [json.loads(path.with_suffix(".csv.manifest.json").read_text())
+                  ["results"]["payload_errors"] for path in (clean, bad)]
+        assert corrupted and errors[0] == 0 and errors[1] >= 1
+
     def test_distortion_output_range(self, tmp_path):
         out = tmp_path / "dist.csv"
         rc = main(["simulate", "distortion", "--k", "40", "--ser", "0:0.5:1",
@@ -221,7 +243,52 @@ class TestSimulateCommands:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Out-of-range values, each paired with the commands listed, or with every
+# command that takes its key when none are.
+OUT_OF_RANGE = {
+    ("k", "0"): None,
+    ("c", "0"): None,
+    ("delta", "0"): None,
+    ("delta", "1.5"): None,
+    ("ser", "1.5"): ("simulate single", "simulate two-layer"),
+    ("ser", "0,1.2"): ("simulate distortion",),
+    ("ser", "inf"): None,
+    ("ser", "nan"): None,
+    ("alpha", "0"): None,
+    ("alpha", "1"): None,
+    ("alpha", "inf"): None,
+    ("beta", "0"): None,
+    ("threads", "-1"): None,
+    ("undecoded", "0"): ("analyze adaptive",),
+    ("k", "61"): ("analyze n-layer",),
+}
+OUT_OF_RANGE_RUNS = [
+    (name, key, value) for (key, value), names in OUT_OF_RANGE.items()
+    for name in names or [n for n, defaults in cli._DEFAULTS.items() if key in defaults]
+]
+
+
 class TestFailureModes:
+    @pytest.mark.parametrize("name, key, value", OUT_OF_RANGE_RUNS,
+                             ids=[f"{n.replace(' ', '-')}-{k}={v}" for n, k, v in OUT_OF_RANGE_RUNS])
+    def test_out_of_range_value_exits_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, name, key, value):
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        out = tmp_path / "never.csv"
+        assert main(name.split() + [f"--{key}", value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_soliton_missing_at_a_rebuilt_size_exits_2_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        # ack_original rebuilds the soliton at sizes where c=0.5, delta=0.01 give none
+        monkeypatch.setattr(simulator, "run_trial", trial_forbidden)
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "single", "--k", "200", "--c", "0.5", "--delta", "0.01",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "ack_original rebuilds the soliton at size 1" in capsys.readouterr().err
+
     def test_invalid_parameter_exits_2_without_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         rc = main(["analyze", "reduced", "--k", "0", "--out", str(out)])

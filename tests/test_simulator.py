@@ -7,7 +7,7 @@ import pytest
 
 from ltfeedback import simulator
 from ltfeedback.codec import Decoder, Encoder, InputBlock
-from ltfeedback.degree import RsdParams, reduced_degree_dist, robust_soliton
+from ltfeedback.degree import LayerConfig, RsdParams, reduced_degree_dist, robust_soliton
 from ltfeedback.feedback import FeedbackPolicy
 from ltfeedback.simulator import (
     RateDistortionModel,
@@ -54,6 +54,42 @@ class TestRunTrial:
         # caught at construction, not at the trial's first decode event
         with pytest.raises(ValueError, match="layer acknowledgment requires layers"):
             TrialConfig(k=50, seed=1, policy=FeedbackPolicy.LAYER_ACK)
+
+    def test_ack_original_refuses_a_soliton_missing_below_k(self):
+        # the soliton exists at k = 200 but not at 1 symbol: such trials used
+        # to raise part way, once 12 or fewer symbols were left
+        with pytest.raises(ValueError, match="ack_original rebuilds the soliton at size 1: "
+                                             r"spike scale .* = 2.303 exceeds k = 1$"):
+            TrialConfig(k=200, c=0.5, delta=0.01, policy=FeedbackPolicy.ACK_ORIGINAL)
+        for policy in (FeedbackPolicy.NONE, FeedbackPolicy.ACK_ADAPTIVE):
+            TrialConfig(k=200, c=0.5, delta=0.01, policy=policy)
+
+    def test_layer_ack_refuses_a_soliton_missing_over_one_layer(self):
+        layers = LayerConfig((10, 10), (9.0, 1.0))
+        with pytest.raises(ValueError, match="layer_ack rebuilds the soliton at size 10: "
+                                             r"spike scale .* = 10.92 exceeds k = 10$"):
+            TrialConfig(k=20, c=0.5, delta=0.01, layers=layers, policy=FeedbackPolicy.LAYER_ACK)
+        TrialConfig(k=20, c=0.5, delta=0.01, layers=layers)
+
+    def test_ack_original_check_is_exact(self):
+        # accepted exactly when the soliton exists at every size 1..k
+        def builds(n, c, delta):
+            try:
+                RsdParams(n, c, delta)
+            except ValueError:
+                return False
+            return True
+
+        for c in np.linspace(0.05, 1.2, 24):
+            for delta in (0.005, 0.01, 0.05, 0.1, 0.3, 0.6, 1.0):
+                for k in [*range(1, 12), 40, 300]:
+                    try:
+                        TrialConfig(k=k, c=c, delta=delta, policy=FeedbackPolicy.ACK_ORIGINAL)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == all(builds(n, c, delta) for n in range(1, k + 1)), \
+                        (k, c, delta)
 
     def test_zero_received_deadline_at_total_erasure_ends_at_once(self):
         trace = run_trial(TrialConfig(k=10, seed=0, ser=1.0, deadline=0,

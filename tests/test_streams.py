@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _uniform_stream, _word_stream
+from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _Stream
 from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
 from ltfeedback.feedback import FeedbackPolicy
 from ltfeedback.simulator import TransmissionTrace, TrialConfig, run_trial, two_layer_config
@@ -182,12 +182,12 @@ def test_scalar_oracle_sees_feedback():
 class TestStreams:
     def test_block_uniforms_equal_scalar_draws(self):
         # 600 values cross two block boundaries
-        fast = _uniform_stream(np.random.default_rng(21))
+        fast = _Stream(np.random.default_rng(21).random)
         scalar = np.random.default_rng(21)
         assert [fast() for _ in range(600)] == [scalar.random() for _ in range(600)]
 
     def test_block_words_equal_scalar_draws(self):
-        fast = _word_stream(np.random.default_rng(22))
+        fast = _Stream(np.random.default_rng(22).bit_generator.random_raw)
         scalar = np.random.default_rng(22).bit_generator
         assert [fast() for _ in range(600)] == [scalar.random_raw() for _ in range(600)]
 
@@ -240,7 +240,8 @@ class TestLemireIndex:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(23)
         bounds = rng.integers(1, 2**63, size=300).tolist() + list(range(1, 300))
-        fast, scalar = _word_stream(np.random.default_rng(24)), np.random.default_rng(24)
+        fast = _Stream(np.random.default_rng(24).bit_generator.random_raw)
+        scalar = np.random.default_rng(24)
         for bound in bounds:
             assert _lemire_index(bound, fast) == lemire_scalar(
                 bound, scalar.bit_generator.random_raw)
@@ -249,7 +250,7 @@ class TestLemireIndex:
     def test_uniform_by_chi_square(self, bound):
         # goodness of fit to the uniform law at significance level 0.01, with
         # 30000 draws: enough to show a 2% excess in one index of bound 3.
-        word = _word_stream(np.random.default_rng(25 + bound))
+        word = _Stream(np.random.default_rng(25 + bound).bit_generator.random_raw)
         n = 30_000
         counts = np.bincount([_lemire_index(bound, word) for _ in range(n)], minlength=bound)
         assert counts.size == bound
