@@ -251,7 +251,9 @@ def _cmd_simulate_single(cfg: dict, out: str) -> dict:
             for received, frac in enumerate(stats.mean_undecoded_frac)]
     write_csv(out, ["scheme", "received", "mean_undecoded_frac"], rows)
     overheads = {name: s.mean_overhead for name, s in result.schemes.items()}
-    return {**overheads, "payload_errors": result.payload_errors}
+    redundant = {name: float(s.redundant_counts.mean()) for name, s in result.schemes.items()}
+    return {**overheads, "mean_redundant_count": redundant,
+            "payload_errors": result.payload_errors}
 
 
 def _cmd_simulate_two_layer(cfg: dict, out: str) -> dict:

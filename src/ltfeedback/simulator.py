@@ -7,8 +7,8 @@ nothing, so this is the same as applying it before every encoded symbol.
 For the same reason an erased symbol changes nothing but the sent count,
 so the channel draws the gap between arrivals, geometric with success
 probability 1 - ser, and the encoder builds only the symbols that arrive.
-The trace holds the per-layer undecoded counts at every reception,
-recorded at decode events and expanded at the end of the trial.
+The trace is an event log: a row per reception that decoded something and
+the receptions that were redundant, for between those nothing changes.
 Experiment drivers average many independent trials: the single-layer
 feedback comparison, the two-layer layer-acknowledgment comparison, and
 the deadline-limited distortion sweep over erasure rates.  Trial t of a
@@ -85,6 +85,9 @@ class TrialConfig:
     def __post_init__(self):
         if not 0.0 <= self.ser <= 1.0:
             raise ValueError("symbol erasure rate must lie in [0, 1]")
+        seed = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if any(part < 0 for part in seed):
+            raise ValueError(f"seed entries must be nonnegative, not {self.seed}")
         if self.deadline_basis not in ("sent", "received"):
             raise ValueError("deadline_basis must be 'sent' or 'received'")
         if self.deadline is not None and self.deadline < 0:
@@ -114,21 +117,24 @@ class TrialConfig:
 
 @dataclass
 class TransmissionTrace:
-    """Per-reception record of a trial plus its completion summary."""
+    """Event log of a trial.  Nothing changes between its events: a row of
+    `decodes` per reception that decoded something, and `redundant_at`."""
 
     k: int
     layer_sizes: tuple
-    sent: np.ndarray  # sent count at each reception
-    undecoded: np.ndarray  # (receptions, n_layers), after processing
-    redundant: np.ndarray  # arrival reduced degree was zero
+    decodes: np.ndarray  # (events, 2 + n_layers): received, sent, undecoded per layer after
+    redundant_at: np.ndarray  # 1-based receptions whose arrival had reduced degree 0
     sent_total: int
     received_total: int
-    completed: bool
-    completion_sent: Optional[int]
-    completion_received: Optional[int]
-    layer_completion_received: tuple
-    layer_completion_sent: tuple
     payload_errors: int
+
+    @property
+    def completed(self) -> bool:
+        return len(self.decodes) > 0 and not self.decodes[-1, 2:].any()
+
+    @property
+    def completion_received(self) -> Optional[int]:
+        return int(self.decodes[-1, 0]) if self.completed else None
 
     @property
     def overhead(self) -> Optional[float]:
@@ -139,21 +145,20 @@ class TransmissionTrace:
 
     @property
     def redundant_count(self) -> int:
-        return int(self.redundant.sum())
+        return len(self.redundant_at)
+
+    @property
+    def layer_completion_received(self) -> tuple:
+        """Reception that finished each layer, None for an unfinished one."""
+        done = self.decodes[:, 2:] == 0
+        return tuple(int(self.decodes[d.argmax(), 0]) if d.any() else None for d in done.T)
 
     @property
     def layers_decoded(self) -> int:
         """Leading fully-decoded layers; a refinement layer without its base
         contributes nothing."""
-        count = 0
-        for r in self.layer_completion_received:
-            if r is None:
-                break
-            count += 1
-        return count
-
-    def undecoded_total(self) -> np.ndarray:
-        return self.undecoded.sum(axis=1)
+        left = self.decodes[-1, 2:].tolist() if len(self.decodes) else self.layer_sizes
+        return next((i for i, n in enumerate(left) if n), len(left))
 
 
 def _point_key(ser: float) -> int:
@@ -191,20 +196,13 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
         gap = repeat(1 if ser == 0.0 else math.inf).__next__
     decoder = Decoder(k, PAYLOAD_WIDTH, config.layers)
     layer_sizes = (k,) if config.layers is None else config.layers.layer_sizes
-    n_layers = len(layer_sizes)
 
     payloads = block.payload_ints()
     decoded = decoder._decoded  # read only: the inputs decoded so far
     next_neighbors, add = encoder.next_neighbors, decoder._add
-    sent = 0
-    received = 0
-    rec_sent: list[int] = []
-    decode_events: list[tuple] = []  # (reception, undecoded per layer after it)
-    redundant_at: list[int] = []  # 0-based receptions that were redundant
-    layer_done_recv: list = [None] * n_layers
-    layer_done_sent: list = [None] * n_layers
-    completion_sent = None
-    completion_received = None
+    sent = received = 0
+    decodes: list[tuple] = []  # (received, sent, undecoded per layer after it)
+    redundant_at: list[int] = []
     deadline = math.inf if config.deadline is None else config.deadline
     max_received, max_sent = ((math.inf, deadline) if config.deadline_basis == "sent"
                               else (deadline, math.inf))
@@ -212,64 +210,30 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     policy = config.policy
     feedback = policy is not FeedbackPolicy.NONE
 
-    while completion_sent is None:
-        if received >= max_received:
-            break
+    while len(decoded) < k and received < max_received:
         sent += gap()
         if sent > last:
             if max_sent > _SAFETY_CAP:
                 raise RuntimeError("trial exceeded the sent-symbol safety cap")
             sent = max_sent
             break
-        neighbors = next_neighbors()
         received += 1
-        rec_sent.append(sent)
-        reduced, newly = add(neighbors, 0, payloads)
-        if not newly:
-            if not reduced:
-                redundant_at.append(received - 1)
-            continue
-        undecoded = decoder.undecoded_per_layer
-        decode_events.append((received, undecoded))
-        for li, left in enumerate(undecoded):
-            if left == 0 and layer_done_recv[li] is None:
-                layer_done_recv[li] = received
-                layer_done_sent[li] = sent
-        if len(decoded) == k:
-            completion_sent = sent
-            completion_received = received
-        elif feedback:
-            apply_feedback(encoder, decoder, policy)
-
-    errors = sum(1 for i, value in decoded.items() if payloads[i] != value)
-
-    # Expand the decode events to one row per reception, flat: a row holds
-    # until the next event.
-    rec_undecoded: list[int] = []
-    row, rows = layer_sizes, 0
-    for reception, after in decode_events:
-        rec_undecoded += row * (reception - 1 - rows)
-        rec_undecoded += after
-        row, rows = after, reception
-    rec_undecoded += row * (received - rows)
-    rec_redundant = [False] * received
-    for r in redundant_at:
-        rec_redundant[r] = True
+        reduced, newly = add(next_neighbors(), 0, payloads)
+        if newly:
+            decodes.append((received, sent, *decoder.undecoded_per_layer))
+            if feedback and len(decoded) < k:
+                apply_feedback(encoder, decoder, policy)
+        elif not reduced:
+            redundant_at.append(received)
 
     return TransmissionTrace(
         k=k,
         layer_sizes=layer_sizes,
-        sent=np.array(rec_sent, dtype=np.int64),
-        undecoded=np.array(rec_undecoded, dtype=np.int64).reshape(received, n_layers),
-        redundant=np.array(rec_redundant, dtype=bool),
+        decodes=np.array(decodes, dtype=np.int64).reshape(-1, 2 + len(layer_sizes)),
+        redundant_at=np.array(redundant_at, dtype=np.int64),
         sent_total=sent,
         received_total=received,
-        completed=decoder.is_complete,
-        completion_sent=completion_sent,
-        completion_received=completion_received,
-        layer_completion_received=tuple(layer_done_recv),
-        layer_completion_sent=tuple(layer_done_sent),
-        payload_errors=errors,
+        payload_errors=sum(1 for i, value in decoded.items() if payloads[i] != value),
     )
 
 
@@ -345,11 +309,9 @@ SCHEMES = {
 class SchemeStats:
     """Aggregates of one scheme across trials."""
 
-    name: str
     mean_undecoded_frac: np.ndarray  # indexed by received count, 0..max
     mean_layer_undecoded_frac: np.ndarray  # (max+1, n_layers), fractions of layer size
     overheads: np.ndarray
-    completion_received: np.ndarray
     layer_completion_received: np.ndarray  # (runs, n_layers)
     redundant_counts: np.ndarray
     payload_errors: int
@@ -359,23 +321,22 @@ class SchemeStats:
         return float(self.overheads.mean())
 
 
-def _aggregate(name: str, traces: list) -> SchemeStats:
+def _aggregate(traces: list) -> SchemeStats:
     if any(not t.completed for t in traces):
         raise ValueError("curve aggregation requires completed trials")
-    k = traces[0].k
-    layer_sizes = np.array(traces[0].layer_sizes, dtype=np.float64)
-    max_recv = max(t.received_total for t in traces)
-    sums = np.zeros((max_recv + 1, layer_sizes.size))
+    k, sizes = traces[0].k, traces[0].layer_sizes
+    layer_sizes = np.array(sizes, dtype=np.float64)
+    # undecoded counts summed over trials: their steps at each decode event,
+    # summed over receptions; a completed trial adds nothing after its last
+    sums = np.zeros((max(t.received_total for t in traces) + 1, len(sizes)))
     sums[0] = len(traces) * layer_sizes
     for t in traces:
-        # completed trials stay fully decoded beyond their last reception
-        sums[1 : t.received_total + 1] += t.undecoded
+        sums[t.decodes[:, 0]] += np.diff(t.decodes[:, 2:], axis=0, prepend=[sizes])
+    np.cumsum(sums, axis=0, out=sums)
     return SchemeStats(
-        name=name,
         mean_undecoded_frac=sums.sum(axis=1) / (len(traces) * k),
         mean_layer_undecoded_frac=sums / (len(traces) * layer_sizes),
         overheads=np.array([t.overhead for t in traces], dtype=np.float64),
-        completion_received=np.array([t.completion_received for t in traces], dtype=np.int64),
         layer_completion_received=np.array(
             [t.layer_completion_received for t in traces], dtype=np.int64
         ),
@@ -386,7 +347,7 @@ def _aggregate(name: str, traces: list) -> SchemeStats:
 
 def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
                  layers: Optional[LayerConfig] = None, **trial) -> dict:
-    """{name: [reduce(name, traces) at each erasure rate of `grid`]}, over
+    """{name: [reduce(traces) at each erasure rate of `grid`]}, over
     `trials` trials of each named scheme per rate; `trial` holds the other
     TrialConfig fields.  Names and `trials` are checked before any trial
     runs.  One pool serves the whole batch, none for one worker, and each
@@ -412,7 +373,7 @@ def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
             # chunks no longer than a group: no worker holds more traces than the caller
             chunksize = max(1, min(len(configs) // (4 * workers), trials))
             traces = pool.map(run_trial, configs, chunksize=chunksize)
-        return {name: [reduce(name, list(islice(traces, trials))) for _ in grid]
+        return {name: [reduce(list(islice(traces, trials))) for _ in grid]
                 for name in schemes}
     finally:
         if pool is not None:
@@ -499,7 +460,7 @@ def experiment_deadline_distortion(
     rerun on its own, or on another grid, draws the same trials."""
     model = RateDistortionModel(alpha=alpha)
     grid = np.asarray(ser_grid, dtype=np.float64)
-    reduce = lambda name, traces: (
+    reduce = lambda traces: (
         [distortion_of_trace(t, model) for t in traces], sum(t.payload_errors for t in traces))
     results = _run_schemes(schemes, grid, seconds, seed, workers, reduce,
                            layers=two_layer_config(k, alpha, beta), k=k, c=c, delta=delta,

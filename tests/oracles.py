@@ -29,6 +29,7 @@ form the library's flat decoder replaced; the two must agree at every
 reception.
 """
 
+import dataclasses
 from collections import defaultdict, deque
 from functools import lru_cache
 from math import exp, expm1, inf, log, log1p
@@ -428,7 +429,16 @@ def _peel(decoded, pending):
 
 
 def scalar_run_trial(config, channel="gap"):
-    """run_trial(config) with one numpy call per uniform and per index word.
+    """run_trial(config) with one numpy call per uniform and per index word;
+    `scalar_transmission` without its per-reception sent counts."""
+    return scalar_transmission(config, channel)[0]
+
+
+def scalar_transmission(config, channel="gap"):
+    """(trace, sent count at each reception) of `scalar_run_trial`.  Every
+    reception is recorded, and those whose undecoded counts changed become
+    the trace's decode events.
+
     A channel gap, the symbols sent up to and including the next arrival, is
     1 at erasure rate 0, infinite at 1, and otherwise 1 + floor(log(1 - u) /
     log(ser)) for one scalar channel uniform u: P(gap > n) = ser^n.
@@ -472,8 +482,6 @@ def scalar_run_trial(config, channel="gap"):
     undecoded = lambda: tuple(sum(i not in decoded for i in range(lo, hi)) for lo, hi in ranges)
     sent = received = 0
     rec_sent, rec_undecoded, rec_redundant = [], [], []
-    done_recv, done_sent = [None] * len(ranges), [None] * len(ranges)
-    completion = (None, None)
     while len(decoded) < k:
         if config.deadline is not None:
             if (sent if by_sent else received) >= config.deadline:
@@ -522,27 +530,44 @@ def scalar_run_trial(config, channel="gap"):
         _peel(decoded, pending)
         rec_sent.append(sent)
         rec_undecoded.append(undecoded())
-        for li, left in enumerate(rec_undecoded[-1]):
-            if left == 0 and done_recv[li] is None:
-                done_recv[li], done_sent[li] = received, sent
-        if len(decoded) == k:
-            completion = (sent, received)
 
+    sizes = tuple(hi - lo for lo, hi in ranges)
+    rows = zip(range(1, received + 1), rec_sent, rec_undecoded, [sizes] + rec_undecoded)
+    decodes = [(r, s, *row) for r, s, row, before in rows if row != before]
     return TransmissionTrace(
         k=k,
-        layer_sizes=tuple(hi - lo for lo, hi in ranges),
-        sent=np.array(rec_sent, dtype=np.int64),
-        undecoded=np.array(rec_undecoded, dtype=np.int64).reshape(received, len(ranges)),
-        redundant=np.array(rec_redundant, dtype=bool),
+        layer_sizes=sizes,
+        decodes=np.array(decodes, dtype=np.int64).reshape(-1, 2 + len(ranges)),
+        redundant_at=np.array([r for r, red in enumerate(rec_redundant, 1) if red], dtype=np.int64),
         sent_total=sent,
         received_total=received,
-        completed=len(decoded) == k,
-        completion_sent=completion[0],
-        completion_received=completion[1],
-        layer_completion_received=tuple(done_recv),
-        layer_completion_sent=tuple(done_sent),
         payload_errors=sum(payloads[i] != v for i, v in decoded.items()),
-    )
+    ), rec_sent
+
+
+def undecoded_rows(trace):
+    """(received_total, n_layers) undecoded counts after each reception: a
+    decode event's row holds until the next one."""
+    rows = np.tile(np.array(trace.layer_sizes, dtype=np.int64), (trace.received_total, 1))
+    for received, _, *after in trace.decodes.tolist():
+        rows[received - 1:] = after
+    return rows
+
+
+def completion_sent(trace):
+    """Symbols sent when the block was fully decoded; None if it never was."""
+    return int(trace.decodes[-1, 1]) if trace.completed else None
+
+
+def assert_traces_equal(a, b):
+    """Every field of two traces equal, arrays in dtype and shape too."""
+    for field in dataclasses.fields(TransmissionTrace):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,18 @@ class TestSimulateCommands:
                   ["results"]["payload_errors"] for path in (clean, bad)]
         assert corrupted and errors[0] == 0 and errors[1] >= 1
 
+    def test_single_manifest_reports_mean_redundant_counts(self, tmp_path):
+        out = tmp_path / "single.csv"
+        assert main(["simulate", "single", "--k", "60", "--runs", "4", "--seed", "3",
+                     "--threads", "1", "--out", str(out)]) == 0
+        results = json.loads(out.with_suffix(".csv.manifest.json").read_text())["results"]
+        expected = simulator.experiment_single_layer_feedback(k=60, runs=4, seed=3).schemes
+        assert results["mean_redundant_count"] == {
+            name: float(s.redundant_counts.mean()) for name, s in expected.items()}
+        # per-symbol acks exclude every decoded input, so no arrival is redundant
+        assert results["mean_redundant_count"]["ack_original"] == 0.0
+        assert results["mean_redundant_count"]["ack_adaptive"] == 0.0
+
     def test_distortion_output_range(self, tmp_path):
         out = tmp_path / "dist.csv"
         rc = main(["simulate", "distortion", "--k", "40", "--ser", "0:0.5:1",
@@ -259,6 +271,7 @@ OUT_OF_RANGE = {
     ("alpha", "inf"): None,
     ("beta", "0"): None,
     ("threads", "-1"): None,
+    ("seed", "-1"): None,
     ("undecoded", "0"): ("analyze adaptive",),
     ("k", "61"): ("analyze n-layer",),
 }

@@ -20,6 +20,7 @@ from ltfeedback.simulator import (
     run_trial,
     two_layer_config,
 )
+from oracles import assert_traces_equal, scalar_transmission
 
 # frozen from the model geometry: 10^6 bits/s over 480*320*30 samples/s
 FULL_RATE = 0.2170138888888889
@@ -49,6 +50,12 @@ class TestRunTrial:
         # no symbol ever arrives, so the trial would run to the safety cap
         with pytest.raises(ValueError, match="received"):
             TrialConfig(k=10, seed=0, ser=1.0, deadline=20, deadline_basis="received")
+
+    @pytest.mark.parametrize("seed", [-1, (-1, 0, 0, 0), (1, 0, -1, 0)])
+    def test_negative_seed_rejected(self, seed):
+        # SeedSequence would refuse it only once the trial starts
+        with pytest.raises(ValueError, match="seed entries must be nonnegative"):
+            TrialConfig(k=10, seed=seed)
 
     def test_layer_ack_without_layers_rejected(self):
         # caught at construction, not at the trial's first decode event
@@ -103,9 +110,9 @@ class TestRunTrial:
 
     def test_undecoded_counts_never_increase(self):
         trace = run_trial(TrialConfig(k=120, seed=3, ser=0.2))
-        totals = trace.undecoded_total()
-        assert (np.diff(totals) <= 0).all()
-        assert totals[-1] == 0
+        totals = trace.decodes[:, 2:].sum(axis=1)
+        assert (np.diff(totals) < 0).all()  # every event decodes something
+        assert totals[0] < 120 and totals[-1] == 0
 
     def test_payloads_always_verified(self):
         layers = two_layer_config(80, 0.5, 9.0)
@@ -168,24 +175,23 @@ class TestRunTrial:
         # last gap crosses it
         crossed = 0
         for seed in range(20):
-            trace = run_trial(TrialConfig(k=60, seed=seed, ser=0.5, deadline=50))
+            config = TrialConfig(k=60, seed=seed, ser=0.5, deadline=50)
+            trace, (slow, sent) = run_trial(config), scalar_transmission(config)
+            assert_traces_equal(trace, slow)
             assert trace.sent_total == 50 and not trace.completed
-            assert (trace.sent <= 50).all()
-            crossed += int(trace.sent[-1] < 50)
+            assert max(sent) <= 50
+            crossed += int(sent[-1] < 50)
         assert 0 < crossed < 20
 
     @pytest.mark.parametrize("basis", ["sent", "received"])
     def test_zero_deadline_sends_nothing(self, basis):
         trace = run_trial(TrialConfig(k=10, seed=0, ser=0.5, deadline=0, deadline_basis=basis))
         assert trace.sent_total == trace.received_total == 0
-        assert trace.sent.size == 0 and trace.undecoded.shape == (0, 1)
+        assert trace.decodes.shape == (0, 3) and trace.redundant_at.size == 0
 
     def test_deterministic_for_fixed_seed(self):
         config = TrialConfig(k=70, seed=11, ser=0.1)
-        a, b = run_trial(config), run_trial(config)
-        assert np.array_equal(a.sent, b.sent)
-        assert np.array_equal(a.undecoded, b.undecoded)
-        assert a.completion_received == b.completion_received
+        assert_traces_equal(run_trial(config), run_trial(config))
 
     def test_deadline_on_received_basis(self):
         config = TrialConfig(k=50, seed=12, ser=0.5, deadline=30,
@@ -289,7 +295,7 @@ class TestSingleLayerExperiment:
         forward = [run_trial(config(t)) for t in range(5)]
         backward = [run_trial(config(t)) for t in reversed(range(5))][::-1]
         for a, b in zip(forward, backward):
-            assert np.array_equal(a.undecoded, b.undecoded)
+            assert_traces_equal(a, b)
 
 
 def test_every_scheme_keeps_its_seed_id():

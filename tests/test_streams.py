@@ -2,8 +2,6 @@
 substreams and Lemire's index draw, with whole trials pinned to the scalar
 transmission loop in `oracles.py`."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,9 @@ from scipy import stats
 from ltfeedback.codec import Encoder, InputBlock, _lemire_index, _Stream
 from ltfeedback.degree import DegreeDistribution, LayerConfig, RsdParams, robust_soliton
 from ltfeedback.feedback import FeedbackPolicy
-from ltfeedback.simulator import TransmissionTrace, TrialConfig, run_trial, two_layer_config
-from oracles import chi_square_pvalue, lemire_scalar, scalar_draw, scalar_run_trial
+from ltfeedback.simulator import TrialConfig, _aggregate, run_trial, two_layer_config
+from oracles import (assert_traces_equal, chi_square_pvalue, completion_sent, lemire_scalar,
+                     scalar_draw, scalar_run_trial, undecoded_rows)
 
 LAYERS = two_layer_config(80, 0.5, 9.0)
 ORIGINAL = FeedbackPolicy.ACK_ORIGINAL
@@ -52,14 +51,37 @@ TRIALS = {
 def test_trace_equals_scalar_oracle(name):
     config = TRIALS[name]
     fast, slow = run_trial(config), scalar_run_trial(config)
-    for field in ("sent", "undecoded", "redundant"):
-        a, b = getattr(fast, field), getattr(slow, field)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field
-    for field in ("k", "layer_sizes", "sent_total", "received_total", "completed",
-                  "completion_sent", "completion_received", "layer_completion_received",
-                  "layer_completion_sent", "payload_errors"):
-        assert getattr(fast, field) == getattr(slow, field), field
+    assert_traces_equal(fast, slow)
     assert fast.payload_errors == 0
+    # the summaries read off the events agree with the per-reception rows
+    rows = undecoded_rows(slow)
+    first_zero = [np.flatnonzero(left == 0) for left in rows.T]
+    assert fast.layer_completion_received == tuple(
+        int(z[0]) + 1 if z.size else None for z in first_zero)
+    assert fast.completed == (rows.size > 0 and not rows[-1].any())
+
+
+def test_step_aggregation_equals_mean_of_rows():
+    # the completed cases of TRIALS, grouped by block shape, averaged from
+    # their per-reception rows padded with zeros to the longest trial
+    groups = {}
+    for config in TRIALS.values():
+        trace = run_trial(config)
+        if trace.completed:
+            groups.setdefault(trace.layer_sizes, []).append(trace)
+    assert len(groups[(80,)]) >= 3 and len(groups[LAYERS.layer_sizes]) >= 3
+    for sizes, traces in groups.items():
+        stats = _aggregate(traces)
+        padded = np.zeros((len(traces), max(t.received_total for t in traces) + 1, len(sizes)),
+                          dtype=np.int64)
+        for rows, t in zip(padded, traces):
+            rows[0] = sizes
+            rows[1:t.received_total + 1] = undecoded_rows(t)
+        sums = padded.sum(axis=0)
+        assert np.array_equal(stats.mean_undecoded_frac,
+                              sums.sum(axis=1) / (len(traces) * sum(sizes)))
+        assert np.array_equal(stats.mean_layer_undecoded_frac,
+                              sums / (len(traces) * np.array(sizes, dtype=np.float64)))
 
 
 POLICIES = {
@@ -88,16 +110,6 @@ def trial_configs(draw, policy):
     return TrialConfig(k=k, seed=draw(st.integers(0, 2**32 - 1)), layers=layers,
                        policy=policy, ser=draw(st.floats(0.0, 0.9)), deadline=deadline,
                        deadline_basis=draw(st.sampled_from(["sent", "received"])))
-
-
-def assert_traces_equal(fast, slow):
-    for field in dataclasses.fields(TransmissionTrace):
-        a, b = getattr(fast, field.name), getattr(slow, field.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape, field.name
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -153,7 +165,7 @@ def test_gap_channel_has_the_bernoulli_channel_law():
                                            ser=0.35, deadline=deadline)
     gap = [run_trial(config(31, t)) for t in range(trials)]
     bernoulli = [scalar_run_trial(config(32, t), channel="bernoulli") for t in range(trials)]
-    completion = [[deadline + 1 if t.completion_sent is None else t.completion_sent
+    completion = [[deadline + 1 if completion_sent(t) is None else completion_sent(t)
                    for t in traces] for traces in (gap, bernoulli)]
     assert stats.ks_2samp(*completion).pvalue > 0.01
     table = [np.bincount([t.layers_decoded for t in traces], minlength=3)
@@ -204,11 +216,11 @@ class TestStreams:
         draws = [trial_rng(*key).random(4).tolist() for key in ((5,), (5, 0), (5, 0, 0))]
         assert len({tuple(d) for d in draws}) == 3
         a, b = (run_trial(TrialConfig(k=40, seed=key)) for key in ((5,), (5, 0)))
-        assert not np.array_equal(a.undecoded, b.undecoded)
+        assert not np.array_equal(a.decodes, b.decodes)
 
     def test_int_seed_is_the_empty_key(self):
         a, b = run_trial(TrialConfig(k=40, seed=13)), run_trial(TrialConfig(k=40, seed=(13,)))
-        assert np.array_equal(a.undecoded, b.undecoded)
+        assert_traces_equal(a, b)
 
 
 def words(*values):
