@@ -29,7 +29,6 @@ from .codec import Decoder, Encoder, InputBlock, OutputSymbol, ReceiveResult
 from .feedback import FeedbackPolicy, apply_feedback
 from .simulator import (
     FULL_RATE,
-    RateDistortionModel,
     TransmissionTrace,
     TrialConfig,
     distortion_of_trace,
@@ -69,7 +68,6 @@ __all__ = [
     "TransmissionTrace",
     "run_trial",
     "FULL_RATE",
-    "RateDistortionModel",
     "distortion_of_trace",
     "experiment_single_layer_feedback",
     "experiment_two_layer_ack",

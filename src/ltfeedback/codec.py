@@ -6,6 +6,8 @@ decoder strips arriving symbols of already-decoded neighbors, keeps a
 FIFO ripple of degree-one symbols, and peels: processing a ripple symbol
 decodes one input, which reduces buffered symbols and may release more
 into the ripple.  Both sides are single-owner sequential state machines.
+Payloads are ints throughout: a source payload, an output symbol's XOR and
+a decoded value; only `InputBlock.random` knows their width in bytes.
 
 The encoder reads three substreams of its generator: degree uniforms,
 layer-group uniforms and 64-bit index words.  Each is drawn in blocks and
@@ -16,6 +18,7 @@ that substream, so acknowledgments never force a refill.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -74,64 +77,35 @@ def _lemire_index(bound: int, word: Callable[[], int]) -> int:
 
 
 class InputBlock:
-    """k fixed-width payloads, optionally partitioned into priority layers.
+    """k payloads, each an int, optionally partitioned into priority layers."""
 
-    The payloads are kept as bytes, `symbols`, and as big-endian ints,
-    `payload_ints()`; a block built from one form makes the other on first
-    use."""
+    __slots__ = ("k", "layers", "payloads")
 
-    __slots__ = ("k", "width", "layers", "_symbols", "_ints")
-
-    def __init__(self, symbols, layers: Optional[LayerConfig] = None):
-        symbols = list(symbols)
-        if not symbols:
+    def __init__(self, payloads, layers: Optional[LayerConfig] = None):
+        payloads = list(payloads)
+        if not payloads:
             raise ValueError("block must contain at least one symbol")
-        width = len(symbols[0])
-        if any(len(s) != width for s in symbols):
-            raise ValueError("all payloads must share the same width")
-        self._setup(len(symbols), width, layers)
-        self._symbols = [bytes(s) for s in symbols]
-
-    def _setup(self, k: int, width: int, layers: Optional[LayerConfig]):
-        if width < 1:
-            raise ValueError("payload width must be >= 1")
-        if layers is not None and layers.k != k:
+        if layers is not None and layers.k != len(payloads):
             raise ValueError("layer sizes must sum to the block length")
-        self.k, self.width, self.layers = k, width, layers
-        self._symbols = self._ints = None
+        self.k, self.layers, self.payloads = len(payloads), layers, payloads
 
     @classmethod
     def random(cls, k: int, width: int, rng: np.random.Generator,
                layers: Optional[LayerConfig] = None) -> "InputBlock":
         """k payloads of `width` bytes from one rng.bytes(k * width) call,
-        converted to ints straight from the drawn bytes."""
-        if k < 1:
-            raise ValueError("block must contain at least one symbol")
-        block = cls.__new__(cls)
-        block._setup(k, width, layers)
+        each read as a big-endian int."""
+        if width < 1:
+            raise ValueError("payload width must be >= 1")
         raw = rng.bytes(k * width)
-        block._ints = [int.from_bytes(raw[i:i + width], "big")
-                       for i in range(0, k * width, width)]
-        return block
-
-    @property
-    def symbols(self) -> list[bytes]:
-        if self._symbols is None:
-            self._symbols = [v.to_bytes(self.width, "big") for v in self._ints]
-        return self._symbols
-
-    def payload_ints(self) -> list[int]:
-        if self._ints is None:
-            self._ints = [int.from_bytes(s, "big") for s in self._symbols]
-        return self._ints
+        return cls([int.from_bytes(raw[i:i + width], "big") for i in range(0, k * width, width)],
+                   layers)
 
 
 class OutputSymbol(NamedTuple):
     """XOR of the input payloads at `neighbors`."""
 
     neighbors: frozenset
-    payload: bytes
-    sequence_number: int
+    payload: int
 
     @property
     def degree(self) -> int:
@@ -160,12 +134,10 @@ class Encoder:
                          else _Stream(np.random.default_rng(groups).random))
         self._word = _Stream(np.random.default_rng(indices).bit_generator.random_raw)
         self.dist_builder = dist_builder
-        self._payloads = block.payload_ints()
+        self._payloads = block.payloads
         self._bounds = (0, block.k) if block.layers is None else block.layers.boundaries()
         self._acked: set[int] = set()
-        self._sequence = 0
         self.acked_layers: set[int] = set()
-        self.layer_acks_fired = 0
         self._base_distribution = distribution
         self._distribution = None
         self.distribution = distribution
@@ -198,6 +170,10 @@ class Encoder:
     @property
     def eligible_count(self) -> int:
         return self._eligible
+
+    @property
+    def layer_acks_fired(self) -> int:
+        return len(self.acked_layers)
 
     def _rebuild_groups(self):
         """Every layer's eligible indices, ascending, rebuilt from `_acked`."""
@@ -237,14 +213,19 @@ class Encoder:
 
     def ack_layer(self, layer: int):
         """Exclude an entire layer from future symbols; remaining layers
-        keep their relative weights (uniform once only one is left)."""
+        keep their relative weights (uniform once only one is left).  A
+        layer already acknowledged changes nothing."""
         if self.block.layers is None:
             raise ValueError("block has no layers to acknowledge")
+        n_layers = self.block.layers.n_layers
+        if not 0 <= layer < n_layers:
+            raise ValueError(f"layer {layer} outside the block's {n_layers} layers")
+        if layer in self.acked_layers:
+            return
         bounds = self._bounds
         self._acked.update(range(bounds[layer], bounds[layer + 1]))
         self._rebuild_groups()
         self.acked_layers.add(layer)
-        self.layer_acks_fired += 1
 
     # The draws read index words by position, Lemire's method inlined.  A low
     # word below the bound may be rejected: that index is drawn word by word.
@@ -365,7 +346,6 @@ class Encoder:
             u.ahead(1)
         degree = min(bisect_right(self._cdf, u.values[u.pos]), self._distribution.k, m)
         u.pos += 1
-        self._sequence += 1
         n_pools = len(self._pools)
         if n_pools == 1:
             return self._draw_uniform(degree)
@@ -381,8 +361,7 @@ class Encoder:
         value = 0
         for i in neighbors:
             value ^= payloads[i]
-        return OutputSymbol(frozenset(neighbors), value.to_bytes(self.block.width, "big"),
-                            self._sequence - 1)
+        return OutputSymbol(frozenset(neighbors), value)
 
 
 class ReceiveResult(NamedTuple):
@@ -413,34 +392,23 @@ class Decoder:
     Symbol s is entry s of flat lists: its count of undecoded neighbors, the
     XOR of their indices (at a count of one, the last neighbor) and its
     payload stripped of decoded neighbors.  `_holders[i]` lists the symbols
-    that arrived with input i undecoded, and None once i is decoded."""
+    that arrived with input i undecoded, and None once i is decoded.
 
-    def __init__(self, k: int, width: int, layers: Optional[LayerConfig] = None):
+    `decoded` is the decoder's report: a live, read-only map from each
+    decoded index to its value, in decode order."""
+
+    def __init__(self, k: int, layers: Optional[LayerConfig] = None):
         if layers is not None and layers.k != k:
             raise ValueError("layer sizes must sum to the block length")
         self.k = k
-        self.width = width
-        self.layers = layers
         self._decoded: dict[int, int] = {}
+        self.decoded = MappingProxyType(self._decoded)
         self._left, self._index_xor, self._value = [], [], []
         self._holders = [[] for _ in range(k)]
         self.redundant_count = 0
         sizes = (k,) if layers is None else layers.layer_sizes
         self._undecoded = list(sizes)
         self._layer_at = sum(([li] * size for li, size in enumerate(sizes)), [])
-
-    @property
-    def decoded(self):
-        """The decoded indices, in decode order: a live, read-only view."""
-        return self._decoded.keys()
-
-    @property
-    def decoded_count(self) -> int:
-        return len(self._decoded)
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self._decoded) == self.k
 
     @property
     def layers_complete(self) -> tuple:
@@ -454,9 +422,6 @@ class Decoder:
     def buffered_count(self) -> int:
         return sum(n > 1 for n in self._left)
 
-    def decoded_payloads(self) -> dict[int, bytes]:
-        return {i: v.to_bytes(self.width, "big") for i, v in self._decoded.items()}
-
     def receive(self, sym: OutputSymbol) -> ReceiveResult:
         """Strip, then buffer / ripple / discard the symbol and peel to
         exhaustion.  Degree-0-after-stripping symbols count as redundant;
@@ -466,7 +431,7 @@ class Decoder:
             raise ValueError("output symbol must have at least one neighbor")
         if min(neighbors) < 0 or max(neighbors) >= self.k:
             raise ValueError("symbol references indices outside the block")
-        reduced, newly = self._add(neighbors, int.from_bytes(sym.payload, "big"), _ZEROS)
+        reduced, newly = self._add(neighbors, sym.payload, _ZEROS)
         return ReceiveResult(newly, reduced, False) if reduced else _REDUNDANT
 
     def _add(self, neighbors, value: int, payloads) -> tuple[int, int]:

@@ -38,7 +38,7 @@ class FeedbackPolicy(Enum):
 
 def apply_feedback(enc: Encoder, dec: Decoder, policy: FeedbackPolicy) -> Encoder:
     """Update the encoder from what the decoder reports over the feedback
-    channel: `dec.decoded`, the decoded indices, and `dec.layers_complete`.
+    channel: the indices in `dec.decoded`, and `dec.layers_complete`.
 
     Under a per-symbol ack every decoded symbol leaves the eligible set and
     the distribution is rebuilt over what remains.  Under LAYER_ACK a layer

@@ -46,7 +46,6 @@ __all__ = [
     "run_trial",
     "FULL_RATE",
     "DEADLINE_FACTOR",
-    "RateDistortionModel",
     "distortion_of_trace",
     "Scheme",
     "SCHEMES",
@@ -179,7 +178,8 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     and the encoder draws the neighbors of arrivals only.  A gap past a
     sent-basis deadline ends the trial there; one past the safety cap raises.
     The source block, the encoder and the channel draw from PCG64 substreams
-    of the config's seed.  Every decoded payload is checked against the source.
+    of the config's seed.  Every value in the decoder's report, `decoded`, is
+    checked against the source payload at its index.
     """
     seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     source, coder, channel = np.random.SeedSequence(seed[0], spawn_key=seed[1:]).spawn(3)
@@ -194,11 +194,11 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
         gap = lambda: 1 + int(math.log1p(-uniform()) / log_ser)  # Geometric(1 - ser)
     else:  # every symbol arrives, or none ever does
         gap = repeat(1 if ser == 0.0 else math.inf).__next__
-    decoder = Decoder(k, PAYLOAD_WIDTH, config.layers)
+    decoder = Decoder(k, config.layers)
     layer_sizes = (k,) if config.layers is None else config.layers.layer_sizes
 
-    payloads = block.payload_ints()
-    decoded = decoder._decoded  # read only: the inputs decoded so far
+    payloads = block.payloads
+    decoded = decoder.decoded
     next_neighbors, add = encoder.next_neighbors, decoder._add
     sent = received = 0
     decodes: list[tuple] = []  # (received, sent, undecoded per layer after it)
@@ -243,39 +243,16 @@ FULL_RATE = 1e6 / (480 * 320 * 30)
 DEADLINE_FACTOR = 2
 
 
-@dataclass(frozen=True)
-class RateDistortionModel:
-    """Analytical source model: distortion 2^(-2r) at rate r bits/sample.
-
-    One fully decoded layered block of one second of source yields
-    FULL_RATE, a decoded base layer the fraction `alpha` of it, nothing
-    decoded rate 0.
-    """
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-
-    def rates(self, n_layers: int) -> tuple:
-        """Achievable rate per number of decoded layers, lowest first."""
-        if n_layers == 1:
-            return (0.0, FULL_RATE)
-        if n_layers == 2:
-            return (0.0, self.alpha * FULL_RATE, FULL_RATE)
+def distortion_of_trace(trace: TransmissionTrace, alpha: float) -> float:
+    """Distortion 2^(-2r) of a unit-variance Gaussian source, at the rate r
+    that the layers fully decoded when the trial ended give: FULL_RATE for
+    the whole block, the fraction `alpha` of it for the base layer alone,
+    and 0 for nothing.  The model covers one or two layers."""
+    n_layers = len(trace.layer_sizes)
+    if n_layers > 2:
         raise ValueError("distortion model covers one or two layers")
-
-
-def distortion(rate: float) -> float:
-    """Distortion-rate bound for a unit-variance Gaussian source."""
-    return 2.0 ** (-2.0 * rate)
-
-
-def distortion_of_trace(trace: TransmissionTrace, model: RateDistortionModel) -> float:
-    """Distortion achieved by the layers fully decoded when the trial ended."""
-    rates = model.rates(len(trace.layer_sizes))
-    return distortion(rates[trace.layers_decoded])
+    rates = (0.0, FULL_RATE) if n_layers == 1 else (0.0, alpha * FULL_RATE, FULL_RATE)
+    return 2.0 ** (-2.0 * rates[trace.layers_decoded])
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +435,9 @@ def experiment_deadline_distortion(
 
     Trials are keyed on the erasure rate itself, so one point of a sweep
     rerun on its own, or on another grid, draws the same trials."""
-    model = RateDistortionModel(alpha=alpha)
     grid = np.asarray(ser_grid, dtype=np.float64)
     reduce = lambda traces: (
-        [distortion_of_trace(t, model) for t in traces], sum(t.payload_errors for t in traces))
+        [distortion_of_trace(t, alpha) for t in traces], sum(t.payload_errors for t in traces))
     results = _run_schemes(schemes, grid, seconds, seed, workers, reduce,
                            layers=two_layer_config(k, alpha, beta), k=k, c=c, delta=delta,
                            deadline=DEADLINE_FACTOR * k, deadline_basis=deadline_basis)

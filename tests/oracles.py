@@ -580,8 +580,8 @@ class ReferenceDecoder:
     ripple of symbol ids.  `receive` takes a neighbor set and a payload and
     returns (newly decoded, reduced degree at arrival, redundant)."""
 
-    def __init__(self, k, width, layers=None):
-        self.k, self.width = k, width
+    def __init__(self, k, layers=None):
+        self.k = k
         self.decoded = {}
         self.entries = {}
         self.by_index = defaultdict(set)
@@ -604,12 +604,8 @@ class ReferenceDecoder:
     def undecoded_per_layer(self):
         return tuple(self.undecoded)
 
-    def decoded_payloads(self):
-        return {i: v.to_bytes(self.width, "big") for i, v in self.decoded.items()}
-
-    def receive(self, neighbors, payload):
+    def receive(self, neighbors, value):
         neighbors = set(neighbors)
-        value = int.from_bytes(payload, "big")
         known = self.decoded.keys() & neighbors
         for v in known:
             value ^= self.decoded[v]

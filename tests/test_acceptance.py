@@ -97,8 +97,8 @@ def test_c04_adaptive_ack_never_emits_redundant_symbols():
     while receptions < 100_000:
         block = InputBlock.random(100, 8, rng)
         enc = Encoder(block, RSD100, rng, dist_builder=builder)
-        dec = Decoder(100, 8)
-        while not dec.is_complete:
+        dec = Decoder(100)
+        while len(dec.decoded) < dec.k:
             apply_feedback(enc, dec, policy)
             result = dec.receive(enc.encode_next())
             receptions += 1

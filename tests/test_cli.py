@@ -17,6 +17,9 @@ from ltfeedback.codec import Decoder
 from ltfeedback.degree import RsdParams, adaptive_degree_dist, robust_soliton
 from oracles import sample_degrees, weighted_strip_counts
 
+ROOT = Path(__file__).resolve().parent.parent
+SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))  # the package in this checkout
+
 
 def trial_forbidden(config):
     raise AssertionError("a trial ran before the configuration was checked")
@@ -416,7 +419,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "ltfeedback", "analyze", "reduced",
              "--k", "20", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -428,7 +431,7 @@ class TestEntryPoints:
             [sys.executable, "-c",
              "import sys, ltfeedback; "
              "print('scipy' in sys.modules, 'numpy.random' in sys.modules)"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SRC_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]

@@ -23,22 +23,27 @@ def point_mass(k: int, degree: int) -> DegreeDistribution:
     return DegreeDistribution(k, pmf)
 
 
-def xor_of(block: InputBlock, indices) -> bytes:
+def xor_of(block: InputBlock, indices) -> int:
     value = 0
     for i in indices:
-        value ^= int.from_bytes(block.symbols[i], "big")
-    return value.to_bytes(block.width, "big")
+        value ^= block.payloads[i]
+    return value
 
 
 class TestInputBlock:
-    def test_rejects_mixed_widths(self):
+    def test_rejects_an_empty_block(self):
         with pytest.raises(ValueError):
-            InputBlock([b"ab", b"c"])
+            InputBlock([])
+
+    def test_rejects_a_width_below_one_byte(self):
+        with pytest.raises(ValueError):
+            InputBlock.random(10, 0, np.random.default_rng(0))
 
     def test_random_block_shape(self):
+        raw = np.random.default_rng(0).bytes(40)
         block = InputBlock.random(10, 4, np.random.default_rng(0))
-        assert block.k == 10 and block.width == 4
-        assert all(len(s) == 4 for s in block.symbols)
+        assert block.k == 10
+        assert block.payloads == [int.from_bytes(raw[i:i + 4], "big") for i in range(0, 40, 4)]
 
     def test_layer_sizes_must_match(self):
         with pytest.raises(ValueError):
@@ -54,7 +59,7 @@ class TestEncoder:
         for _ in range(5):
             sym = enc.encode_next()
             assert sym.neighbors == frozenset({0})
-            assert sym.payload == block.symbols[0]
+            assert sym.payload == block.payloads[0]
 
     def test_full_degree_covers_whole_block(self):
         rng = np.random.default_rng(2)
@@ -71,12 +76,6 @@ class TestEncoder:
         for _ in range(200):
             sym = enc.encode_next()
             assert sym.payload == xor_of(block, sym.neighbors)
-
-    def test_sequence_numbers_increment(self):
-        rng = np.random.default_rng(4)
-        block = InputBlock.random(5, 8, rng)
-        enc = Encoder(block, point_mass(5, 2), rng)
-        assert [enc.encode_next().sequence_number for _ in range(4)] == [0, 1, 2, 3]
 
     def test_uniform_inclusion_and_degree_fit(self):
         k, n_syms = 100, 100_000
@@ -138,6 +137,20 @@ class TestEncoder:
             assert union - acked <= enc.acked  # earlier acks this set misses stay
             assert enc.eligible_count == 40 - len(union)
 
+    def test_layer_ack_refuses_a_missing_layer_and_counts_each_once(self):
+        rng = np.random.default_rng(13)
+        layers = LayerConfig((10, 10), (9.0, 1.0))
+        enc = Encoder(InputBlock.random(20, 8, rng, layers), point_mass(20, 1), rng)
+        for bad in (-1, 2):
+            with pytest.raises(ValueError):
+                enc.ack_layer(bad)
+        assert enc.acked_layers == set() and enc.layer_acks_fired == 0
+        assert enc.eligible_count == 20
+        for _ in range(2):
+            enc.ack_layer(0)
+            assert enc.acked_layers == {0} and enc.layer_acks_fired == 1
+            assert enc.eligible_count == 10 and enc.acked == frozenset(range(10))
+
     def test_acked_indices_never_appear(self):
         rng = np.random.default_rng(7)
         block = InputBlock.random(40, 8, rng)
@@ -189,110 +202,124 @@ class TestEncoder:
 
 class TestDecoder:
     def test_degree_one_decodes_immediately(self):
-        dec = Decoder(5, 2)
-        result = dec.receive(OutputSymbol(frozenset({3}), b"hi", 0))
+        dec = Decoder(5)
+        result = dec.receive(OutputSymbol(frozenset({3}), 0x6869))
         assert result.newly_decoded == 1
-        assert dec.decoded_payloads() == {3: b"hi"}
+        assert dec.decoded == {3: 0x6869}
 
     def test_hand_checked_release(self):
-        dec = Decoder(5, 1)
-        r1 = dec.receive(OutputSymbol(frozenset({1, 2}), bytes([0b0110]), 0))
+        dec = Decoder(5)
+        r1 = dec.receive(OutputSymbol(frozenset({1, 2}), 0b0110))
         assert r1.newly_decoded == 0 and r1.reduced_degree == 2
-        r2 = dec.receive(OutputSymbol(frozenset({1}), bytes([0b0101]), 1))
+        r2 = dec.receive(OutputSymbol(frozenset({1}), 0b0101))
         assert r2.newly_decoded == 2
-        payloads = dec.decoded_payloads()
-        assert payloads[1] == bytes([0b0101])
-        assert payloads[2] == bytes([0b0110 ^ 0b0101])
+        assert dec.decoded[1] == 0b0101
+        assert dec.decoded[2] == 0b0110 ^ 0b0101
 
     def test_redundant_symbol_counted_not_errored(self):
-        dec = Decoder(3, 1)
-        dec.receive(OutputSymbol(frozenset({0}), b"a", 0))
-        result = dec.receive(OutputSymbol(frozenset({0}), b"a", 1))
+        dec = Decoder(3)
+        dec.receive(OutputSymbol(frozenset({0}), 97))
+        result = dec.receive(OutputSymbol(frozenset({0}), 97))
         assert result.redundant and result.reduced_degree == 0
         assert dec.redundant_count == 1
 
     def test_stall_and_restart(self):
         # two buffered symbols stall until a fresh degree-one symbol arrives
-        dec = Decoder(4, 1)
-        dec.receive(OutputSymbol(frozenset({0, 1}), bytes([3]), 0))
-        dec.receive(OutputSymbol(frozenset({1, 2}), bytes([6]), 1))
+        dec = Decoder(4)
+        dec.receive(OutputSymbol(frozenset({0, 1}), 3))
+        dec.receive(OutputSymbol(frozenset({1, 2}), 6))
         assert dec.buffered_count == 2
-        result = dec.receive(OutputSymbol(frozenset({0}), bytes([1]), 2))
+        result = dec.receive(OutputSymbol(frozenset({0}), 1))
         assert result.newly_decoded == 3
-        assert dec.decoded_payloads() == {0: bytes([1]), 1: bytes([2]), 2: bytes([4])}
+        assert dec.decoded == {0: 1, 1: 2, 2: 4}
 
     def test_duplicate_buffered_symbols_are_retained(self):
-        dec = Decoder(4, 1)
-        dec.receive(OutputSymbol(frozenset({0, 1}), bytes([3]), 0))
-        dec.receive(OutputSymbol(frozenset({0, 1}), bytes([3]), 1))
+        dec = Decoder(4)
+        dec.receive(OutputSymbol(frozenset({0, 1}), 3))
+        dec.receive(OutputSymbol(frozenset({0, 1}), 3))
         assert dec.buffered_count == 2
 
     def test_rejects_unknown_indices(self):
-        dec = Decoder(3, 1)
+        dec = Decoder(3)
         with pytest.raises(ValueError):
-            dec.receive(OutputSymbol(frozenset({5}), b"a", 0))
+            dec.receive(OutputSymbol(frozenset({5}), 97))
 
     @pytest.mark.parametrize("neighbors", [frozenset(), frozenset({-1}), frozenset({0, 3})])
     def test_invalid_symbol_raises_and_changes_nothing(self, neighbors):
         # receive validates before it strips or buffers anything
-        dec = Decoder(3, 1)
-        dec.receive(OutputSymbol(frozenset({0, 1}), bytes([3]), 0))
+        dec = Decoder(3)
+        dec.receive(OutputSymbol(frozenset({0, 1}), 3))
         with pytest.raises(ValueError):
-            dec.receive(OutputSymbol(neighbors, b"a", 1))
-        assert dec.buffered_count == 1 and dec.decoded_count == 0
+            dec.receive(OutputSymbol(neighbors, 97))
+        assert dec.buffered_count == 1 and not dec.decoded
         assert dec.redundant_count == 0
-        assert dec.receive(OutputSymbol(frozenset({0}), bytes([1]), 2)).newly_decoded == 2
+        assert dec.receive(OutputSymbol(frozenset({0}), 1)).newly_decoded == 2
 
     def test_decoded_is_a_live_view_in_decode_order(self):
-        dec = Decoder(4, 1)
+        dec = Decoder(4)
         decoded = dec.decoded
-        dec.receive(OutputSymbol(frozenset({2}), b"a", 0))
-        dec.receive(OutputSymbol(frozenset({0, 3}), b"b", 1))
-        assert list(decoded) == [2]
-        dec.receive(OutputSymbol(frozenset({3}), b"c", 2))  # releases 0 after 3
-        assert list(decoded) == [2, 3, 0] and decoded == {0, 2, 3}
-        with pytest.raises(AttributeError):
-            decoded.add(1)
+        assert decoded == {} and len(decoded) == 0
+        dec.receive(OutputSymbol(frozenset({2}), 5))
+        dec.receive(OutputSymbol(frozenset({0, 3}), 6))
+        assert list(decoded.items()) == [(2, 5)]
+        dec.receive(OutputSymbol(frozenset({3}), 7))  # releases 0 after 3
+        assert list(decoded.items()) == [(2, 5), (3, 7), (0, 6 ^ 7)]
+        assert len(decoded) == dec.k - 1 and decoded is dec.decoded
+
+    def test_decoded_is_read_only(self):
+        dec = Decoder(2)
+        dec.receive(OutputSymbol(frozenset({0}), 5))
+        with pytest.raises(TypeError):
+            dec.decoded[1] = 9
+        with pytest.raises(TypeError):
+            dec.decoded[0] = 4
+        with pytest.raises(TypeError):
+            del dec.decoded[0]
+        assert dec.decoded == {0: 5} and dec.undecoded_per_layer == (1,)
 
     def test_completion_flags(self):
-        dec = Decoder(2, 1)
-        assert not dec.is_complete
-        dec.receive(OutputSymbol(frozenset({0}), b"x", 0))
-        assert not dec.is_complete
-        dec.receive(OutputSymbol(frozenset({1}), b"y", 1))
-        assert dec.is_complete
+        dec = Decoder(2)
+        assert len(dec.decoded) < dec.k
+        dec.receive(OutputSymbol(frozenset({0}), 120))
+        assert len(dec.decoded) < dec.k
+        dec.receive(OutputSymbol(frozenset({1}), 121))
+        assert len(dec.decoded) == dec.k
 
     def test_per_layer_progress(self):
         layers = LayerConfig((2, 2), (5.0, 1.0))
-        dec = Decoder(4, 1, layers)
-        dec.receive(OutputSymbol(frozenset({0}), b"a", 0))
-        dec.receive(OutputSymbol(frozenset({1}), b"b", 1))
+        dec = Decoder(4, layers)
+        dec.receive(OutputSymbol(frozenset({0}), 97))
+        dec.receive(OutputSymbol(frozenset({1}), 98))
         assert dec.layers_complete == (True, False)
         assert dec.undecoded_per_layer == (0, 2)
+
+    def test_layer_sizes_must_match(self):
+        with pytest.raises(ValueError):
+            Decoder(5, LayerConfig((2, 2), (5.0, 1.0)))
 
     def test_randomized_decode_matches_ground_truth(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             block = InputBlock.random(100, 8, rng)
             enc = Encoder(block, robust_soliton(RsdParams(100, 0.1, 1.0)), rng)
-            dec = Decoder(100, 8)
+            dec = Decoder(100)
             received = 0
-            while not dec.is_complete:
+            while len(dec.decoded) < dec.k:
                 dec.receive(enc.encode_next())
                 received += 1
                 assert received < 5000
-            assert dec.decoded_payloads() == {i: s for i, s in enumerate(block.symbols)}
+            assert dec.decoded == dict(enumerate(block.payloads))
 
     def test_stripping_never_corrupts_partial_decodings(self):
         # even decoded prefixes of an unfinished run must match the source
         rng = np.random.default_rng(33)
         block = InputBlock.random(60, 8, rng)
         enc = Encoder(block, robust_soliton(RsdParams(60, 0.1, 1.0)), rng)
-        dec = Decoder(60, 8)
+        dec = Decoder(60)
         for _ in range(45):
             dec.receive(enc.encode_next())
-            for i, payload in dec.decoded_payloads().items():
-                assert payload == block.symbols[i]
+            for i, payload in dec.decoded.items():
+                assert payload == block.payloads[i]
 
 
 @st.composite
@@ -301,8 +328,7 @@ def blocks_and_streams(draw):
     that sends them in any order, each any number of times (or never)."""
     k = draw(st.integers(1, 24))
     width = draw(st.integers(1, 3))
-    block = InputBlock(draw(st.lists(st.binary(min_size=width, max_size=width),
-                                     min_size=k, max_size=k)))
+    block = InputBlock(draw(st.lists(st.integers(0, 256**width - 1), min_size=k, max_size=k)))
     neighbor_sets = draw(st.lists(st.frozensets(st.integers(0, k - 1), min_size=1),
                                   max_size=3 * k))
     stream = draw(st.lists(st.integers(0, len(neighbor_sets) - 1), max_size=6 * k)
@@ -319,7 +345,7 @@ def layered_blocks_and_streams(draw):
                                    max_size=min(3, block.k - 1))))
         sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [block.k])]
         weights = draw(st.lists(st.integers(1, 9), min_size=len(sizes), max_size=len(sizes)))
-        block = InputBlock(block.symbols, LayerConfig(tuple(sizes), tuple(weights)))
+        block = InputBlock(block.payloads, LayerConfig(tuple(sizes), tuple(weights)))
     return block, stream
 
 
@@ -327,28 +353,26 @@ class TestDecoderProperties:
     @given(layered_blocks_and_streams())
     def test_matches_reference_decoder(self, case):
         block, stream = case
-        dec = Decoder(block.k, block.width, block.layers)
-        ref = ReferenceDecoder(block.k, block.width, block.layers)
+        dec = Decoder(block.k, block.layers)
+        ref = ReferenceDecoder(block.k, block.layers)
         singles = [frozenset({i}) for i in range(block.k)]
-        for seq, neighbors in enumerate(stream + singles):
+        for neighbors in stream + singles:
             payload = xor_of(block, neighbors)
-            assert dec.receive(OutputSymbol(neighbors, payload, seq)) == ref.receive(neighbors,
-                                                                                     payload)
+            assert dec.receive(OutputSymbol(neighbors, payload)) == ref.receive(neighbors, payload)
             assert dec.buffered_count == ref.buffered_count
             assert dec.undecoded_per_layer == ref.undecoded_per_layer
-        assert dec.decoded_payloads() == ref.decoded_payloads()
+            assert dec.decoded == ref.decoded
 
     @given(blocks_and_streams())
     def test_never_yields_a_wrong_payload(self, case):
         block, stream = case
-        dec = Decoder(block.k, block.width)
-        for seq, neighbors in enumerate(stream):
-            dec.receive(OutputSymbol(neighbors, xor_of(block, neighbors), seq))
-            for i, payload in dec.decoded_payloads().items():
-                assert payload == block.symbols[i]
-            assert sum(dec.undecoded_per_layer) == block.k - dec.decoded_count
+        dec = Decoder(block.k)
+        for neighbors in stream:
+            dec.receive(OutputSymbol(neighbors, xor_of(block, neighbors)))
+            for i, payload in dec.decoded.items():
+                assert payload == block.payloads[i]
+            assert sum(dec.undecoded_per_layer) == block.k - len(dec.decoded)
         # every input sent on its own finishes the decode, correctly
         for i in range(block.k):
-            dec.receive(OutputSymbol(frozenset({i}), block.symbols[i], len(stream) + i))
-        assert dec.is_complete
-        assert dec.decoded_payloads() == dict(enumerate(block.symbols))
+            dec.receive(OutputSymbol(frozenset({i}), block.payloads[i]))
+        assert dec.decoded == dict(enumerate(block.payloads))

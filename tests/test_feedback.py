@@ -73,7 +73,7 @@ class TestPerSymbolAck:
     def test_acked_symbols_never_reappear(self):
         rng = np.random.default_rng(4)
         enc = make_encoder(50, rng)
-        dec = Decoder(50, 8)
+        dec = Decoder(50)
         policy = FeedbackPolicy.ACK_ADAPTIVE
         for _ in range(300):
             apply_feedback(enc, dec, policy)
@@ -87,9 +87,9 @@ class TestPerSymbolAck:
         # no received symbol may reduce to degree zero under ideal adaptive ack
         rng = np.random.default_rng(5)
         enc = make_encoder(100, rng)
-        dec = Decoder(100, 8)
+        dec = Decoder(100)
         policy = FeedbackPolicy.ACK_ADAPTIVE
-        while not dec.is_complete:
+        while len(dec.decoded) < dec.k:
             apply_feedback(enc, dec, policy)
             result = dec.receive(enc.encode_next())
             assert not result.redundant
@@ -102,15 +102,15 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(6)
         k = 100
         enc = make_encoder(k, rng)
-        dec = Decoder(k, 8)
+        dec = Decoder(k)
         policy = FeedbackPolicy.ACK_ORIGINAL
         observed = np.zeros(k + 1)
         expected = np.zeros(k + 1)
         n_redundant = 0
         for _ in range(20):  # several blocks' worth of receptions
             enc = make_encoder(k, rng)
-            dec = Decoder(k, 8)
-            while not dec.is_complete:
+            dec = Decoder(k)
+            while len(dec.decoded) < dec.k:
                 apply_feedback(enc, dec, policy)
                 dist = enc.distribution
                 result = dec.receive(enc.encode_next())
@@ -167,10 +167,10 @@ class TestLayerAck:
         rng = np.random.default_rng(12)
         layers = LayerConfig((50, 50), (9.0, 1.0))
         enc = make_encoder(100, rng, layers)
-        dec = Decoder(100, 8, layers)
+        dec = Decoder(100, layers)
         policy = FeedbackPolicy.LAYER_ACK
         receptions = 0
-        while not dec.is_complete:
+        while len(dec.decoded) < dec.k:
             apply_feedback(enc, dec, policy)
             dec.receive(enc.encode_next())
             receptions += 1
@@ -239,15 +239,15 @@ class TestAckProperties:
             layers = LayerConfig((base, k - base), (beta, 1.0))
         rng = np.random.default_rng(seed)
         enc = make_encoder(k, rng, layers)
-        dec = Decoder(k, 8, layers)
+        dec = Decoder(k, layers)
         bounds = (0, k) if layers is None else layers.boundaries()
         acked = set()
         for _ in range(50 * k):
-            if dec.is_complete:
+            if len(dec.decoded) == k:
                 break
             apply_feedback(enc, dec, policy)
             if per_symbol:
-                acked |= dec.decoded
+                acked |= dec.decoded.keys()
             else:
                 for li, complete in enumerate(dec.layers_complete):
                     if complete:
@@ -256,7 +256,7 @@ class TestAckProperties:
             assert not (sym.neighbors & acked)
             if rng.random() >= erasure:
                 dec.receive(sym)
-        assert dec.is_complete
+        assert len(dec.decoded) == k
 
 
 @pytest.mark.slow

@@ -10,7 +10,6 @@ from ltfeedback.codec import Decoder, Encoder, InputBlock
 from ltfeedback.degree import LayerConfig, RsdParams, reduced_degree_dist, robust_soliton
 from ltfeedback.feedback import FeedbackPolicy
 from ltfeedback.simulator import (
-    RateDistortionModel,
     TrialConfig,
     distortion_of_trace,
     experiment_deadline_distortion,
@@ -219,34 +218,45 @@ class TestRunTrial:
         assert abs(redundant / n_syms - p) <= 3 * se
 
 
+def decoded_layers_trace(sizes, decoded_layers):
+    """A trace that ended with its first `decoded_layers` layers decoded."""
+    after = [0 if i < decoded_layers else n for i, n in enumerate(sizes)]
+    decodes = [(sum(sizes), sum(sizes), *after)] if decoded_layers else []
+    return simulator.TransmissionTrace(
+        k=sum(sizes), layer_sizes=tuple(sizes),
+        decodes=np.array(decodes, dtype=np.int64).reshape(-1, 2 + len(sizes)),
+        redundant_at=np.zeros(0, dtype=np.int64), sent_total=sum(sizes),
+        received_total=sum(sizes), payload_errors=0)
+
+
 class TestDistortion:
     def test_rate_constants(self):
         assert simulator.FULL_RATE == pytest.approx(FULL_RATE, abs=1e-12)
-        r = RateDistortionModel(alpha=0.5).rates(2)
-        assert r[0] == 0.0
-        assert r[1] == pytest.approx(FULL_RATE / 2, abs=1e-12)
-        assert r[2] == pytest.approx(FULL_RATE, abs=1e-12)
-        assert r[0] <= r[1] <= r[2]
 
     def test_nothing_decoded_gives_unit_distortion(self):
         trace = run_trial(TrialConfig(k=20, seed=0, ser=1.0, deadline=10))
-        assert distortion_of_trace(trace, RateDistortionModel()) == 1.0
+        assert distortion_of_trace(trace, 0.5) == 1.0
 
     def test_full_decode_distortion_value(self):
         layers = two_layer_config(40, 0.5, 9.0)
         trace = run_trial(TrialConfig(k=40, seed=1, layers=layers))
         assert trace.layers_decoded == 2
-        d = distortion_of_trace(trace, RateDistortionModel(alpha=0.5))
+        d = distortion_of_trace(trace, 0.5)
         assert d == pytest.approx(D_FULL, abs=1e-12)
 
     def test_base_only_distortion_value(self):
-        model = RateDistortionModel(alpha=0.5)
-        assert 2.0 ** (-2 * model.rates(2)[1]) == pytest.approx(D_HALF, abs=1e-12)
+        trace = decoded_layers_trace((20, 20), 1)
+        assert trace.layers_decoded == 1
+        assert distortion_of_trace(trace, 0.5) == pytest.approx(D_HALF, abs=1e-12)
 
     def test_single_layer_uses_full_rate(self):
         trace = run_trial(TrialConfig(k=30, seed=2))
-        d = distortion_of_trace(trace, RateDistortionModel(alpha=0.5))
+        d = distortion_of_trace(trace, 0.5)
         assert d == pytest.approx(D_FULL, abs=1e-12)
+
+    def test_more_than_two_layers_are_refused(self):
+        with pytest.raises(ValueError, match="one or two layers"):
+            distortion_of_trace(decoded_layers_trace((10, 10, 10), 3), 0.5)
 
 
 class TestSingleLayerExperiment:

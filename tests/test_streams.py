@@ -124,6 +124,54 @@ def test_every_trace_field_equals_scalar_oracle(policy, data):
     assert fast.payload_errors == 0
 
 
+@st.composite
+def accepted_space_configs(draw):
+    """TrialConfig keywords over the whole range it may accept, and past it:
+    every policy; k from 1, in 1-3 layers weighted from 1e-9 to 1e9 each;
+    c and delta log-uniform, c in [1e-6, 10] and delta down to 1e-300;
+    erasure rates up to 1, often within 0.01 of it; and no deadline or one
+    on either basis, up to 10^7."""
+    policy = draw(st.sampled_from(list(FeedbackPolicy)))
+    k = draw(st.integers(1, 100))
+    # a layer ack without layers is refused: draw few of those
+    n_layers = draw(st.integers(min(2 if policy is FeedbackPolicy.LAYER_ACK else 1, k),
+                                min(3, k)))
+    layers = None
+    if n_layers > 1:
+        cuts = sorted(draw(st.lists(st.integers(1, k - 1), min_size=n_layers - 1,
+                                    max_size=n_layers - 1, unique=True)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [k])]
+        layers = LayerConfig(tuple(sizes), tuple(10.0 ** draw(st.floats(-9, 9))
+                                                 for _ in sizes))
+    return dict(k=k, seed=draw(st.integers(0, 2**32 - 1)), c=10.0 ** draw(st.floats(-6, 1)),
+                delta=10.0 ** draw(st.floats(-300, 0)), layers=layers, policy=policy,
+                ser=draw(st.floats(0.0, 1.0) | st.floats(0.99, 1.0)),
+                deadline=draw(st.none() | st.integers(0, 3 * k) | st.integers(0, 10**7)),
+                deadline_basis=draw(st.sampled_from(["sent", "received"])))
+
+
+@settings(max_examples=300)
+@given(fields=accepted_space_configs())
+def test_every_accepted_config_runs_clean(fields):
+    # Refused means a ValueError at construction.  An accepted trial
+    # completes, stops at its deadline or raises the safety cap's error;
+    # every trace has no payload error, and a small one equals the oracle's.
+    try:
+        config = TrialConfig(**fields)
+    except ValueError:
+        return
+    try:
+        trace = run_trial(config)
+    except RuntimeError as exc:
+        assert "safety cap" in str(exc)
+        return
+    spent = trace.sent_total if config.deadline_basis == "sent" else trace.received_total
+    assert trace.completed or spent == config.deadline
+    assert trace.payload_errors == 0
+    if config.k <= 30 and config.ser < 0.99 and (config.deadline or 0) <= 10**5:
+        assert_traces_equal(trace, scalar_run_trial(config))
+
+
 @pytest.mark.parametrize("policy, layered", [  # a layer ack needs layers
     (policy, layered) for policy in sorted(POLICIES) for layered in (False, True)
     if layered or policy != "layer_ack"])
