@@ -2,8 +2,9 @@
 
 Every command writes a CSV plus a JSON manifest holding the full effective
 configuration, so any result file can be regenerated byte for byte with
-`--config <manifest>`.  Flags override config-file values.  Exit codes:
-0 success, 2 invalid arguments, 3 runtime failure.
+`--config <manifest>`; this module alone writes and reads those files.
+Flags override config-file values.  Exit codes: 0 success, 2 invalid
+arguments, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import functools
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
+
+from . import __version__
 
 # reduced_degree_dist, redundancy_prob_acked and two_layer_reduced_dist are not
 # called here; perfbench's tracer wraps them at these names, so they stay bound.
@@ -36,8 +40,6 @@ from .simulator import (
     experiment_single_layer_feedback,
     experiment_two_layer_ack,
     two_layer_config,
-    write_csv,
-    write_manifest,
 )
 
 OUTDIR_ENV = "LTFEEDBACK_OUTDIR"
@@ -116,6 +118,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def format_value(v) -> str:
+    """Diff-stable cell formatting: 9 significant digits for floats."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.9g}"
+    return str(v)
+
+
+def _atomic_write(path: str, text: str):
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    try:
+        with os.fdopen(fd, "w", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(path: str, header, rows):
+    """Write a CSV atomically: either the complete file appears or nothing."""
+    lines = [",".join(header)] + [",".join(map(format_value, row)) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_manifest(path: str, command: str, config: dict, extra: dict | None):
+    """JSON run manifest: the full configuration needed to reproduce the
+    result file byte for byte, the package version and any `extra` results."""
+    payload = {
+        "command": command,
+        "config": config,
+        "version": f"ltfeedback {__version__}",
+    }
+    if extra:
+        payload["results"] = extra
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _load_config(path: str) -> dict:
     with open(path) as handle:
         data = json.load(handle)
@@ -178,7 +223,8 @@ def _ser_grid(text: str) -> np.ndarray:
             raise ValueError("grid must satisfy step > 0 and stop >= start")
         n = int(round((stop - start) / step))
         grid = start + step * np.arange(n + 1)
-        return grid[grid <= stop + 1e-12]
+        # rounding may carry the last point just past stop: it is stop
+        return np.minimum(grid[grid <= stop + 1e-12], stop)
     return np.array(_float_list(text))
 
 
@@ -323,6 +369,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
-    write_manifest(out + ".manifest.json", name, cfg, extra if isinstance(extra, dict) else None)
+    write_manifest(out + ".manifest.json", name, cfg, extra)
     print(f"wrote {out}")
     return 0

@@ -118,14 +118,13 @@ class Encoder:
     The degree, layer-group and index substreams are PCG64 generators on
     children of `rng`'s seed sequence, spawned in that order; for a PCG64
     `rng` they equal `rng.spawn(3)`.  An unlayered block never reads its
-    layer-group child and builds no generator on it.  `dist_builder`, when
-    given, maps an eligible-set size to a fresh distribution; feedback
-    policies use it to re-parameterize after acknowledgments.
+    layer-group child and builds no generator on it.  Acknowledgments
+    shrink the eligible set through `ack_indices` alone; which distribution
+    the encoder draws degrees from afterwards is for feedback to set.
     """
 
     def __init__(self, block: InputBlock, distribution: DegreeDistribution,
-                 rng: np.random.Generator,
-                 dist_builder: Optional[Callable[[int], DegreeDistribution]] = None):
+                 rng: np.random.Generator):
         self.block = block
         # PCG64 whatever rng's bit generator is: every raw word has 64 bits
         degrees, groups, indices = rng.bit_generator.seed_seq.spawn(3)
@@ -133,15 +132,15 @@ class Encoder:
         self._group_u = (None if block.layers is None
                          else _Stream(np.random.default_rng(groups).random))
         self._word = _Stream(np.random.default_rng(indices).bit_generator.random_raw)
-        self.dist_builder = dist_builder
         self._payloads = block.payloads
-        self._bounds = (0, block.k) if block.layers is None else block.layers.boundaries()
+        self._bounds = bounds = (0, block.k) if block.layers is None else block.layers.boundaries()
         self._acked: set[int] = set()
         self.acked_layers: set[int] = set()
-        self._base_distribution = distribution
-        self._distribution = None
+        self.base_distribution = distribution  # the adaptive distribution thins this one
         self.distribution = distribution
-        self._rebuild_groups()
+        # each layer's eligible indices, ascending; only ack_indices removes any
+        self._ascending = [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._set_groups()
 
     @property
     def distribution(self) -> DegreeDistribution:
@@ -153,11 +152,6 @@ class Encoder:
             raise ValueError("encoder distribution must carry no mass at degree 0")
         self._distribution = dist
         self._cdf = memoryview(dist.cdf)  # bisects as floats, with no copy
-
-    @property
-    def base_distribution(self) -> DegreeDistribution:
-        """The distribution the encoder was constructed with."""
-        return self._base_distribution
 
     @property
     def acked(self) -> frozenset:
@@ -174,13 +168,6 @@ class Encoder:
     @property
     def layer_acks_fired(self) -> int:
         return len(self.acked_layers)
-
-    def _rebuild_groups(self):
-        """Every layer's eligible indices, ascending, rebuilt from `_acked`."""
-        bounds, acked = self._bounds, self._acked
-        self._ascending = [[i for i in range(lo, hi) if i not in acked]
-                           for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self._set_groups()
 
     def _set_groups(self):
         """Parallel lists over the layers with eligible members, each pool a
@@ -212,9 +199,9 @@ class Encoder:
         self._set_groups()
 
     def ack_layer(self, layer: int):
-        """Exclude an entire layer from future symbols; remaining layers
-        keep their relative weights (uniform once only one is left).  A
-        layer already acknowledged changes nothing."""
+        """`ack_indices` over a whole layer, recorded in `acked_layers`;
+        remaining layers keep their relative weights (uniform once only one
+        is left).  A layer already acknowledged changes nothing."""
         if self.block.layers is None:
             raise ValueError("block has no layers to acknowledge")
         n_layers = self.block.layers.n_layers
@@ -222,9 +209,7 @@ class Encoder:
             raise ValueError(f"layer {layer} outside the block's {n_layers} layers")
         if layer in self.acked_layers:
             return
-        bounds = self._bounds
-        self._acked.update(range(bounds[layer], bounds[layer + 1]))
-        self._rebuild_groups()
+        self.ack_indices(range(self._bounds[layer], self._bounds[layer + 1]))
         self.acked_layers.add(layer)
 
     # The draws read index words by position, Lemire's method inlined.  A low

@@ -5,17 +5,19 @@ either rebuilding its stock distribution over the shrunken block or
 switching to the zero-redundancy adaptive distribution; and whole-layer
 acknowledgment for layered codes (a single feedback message per layer).
 Feedback is ideal: cost-free, loss-free, and in effect before the next
-encoded symbol.  `apply_feedback` changes nothing when the decoder it is
-given has not changed since the last call, so a caller may apply it only
-after decode events.
+encoded symbol.  This module alone decides what an acknowledgment changes.
+`apply_feedback` changes nothing when the decoder it is given has not
+changed since the last call, so a caller may apply it only after decode
+events.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 from .codec import Decoder, Encoder
-from .degree import adaptive_degree_dist
+from .degree import DegreeDistribution, adaptive_degree_dist
 
 __all__ = ["FeedbackPolicy", "apply_feedback"]
 
@@ -36,40 +38,35 @@ class FeedbackPolicy(Enum):
     LAYER_ACK = "layer_ack"
 
 
-def apply_feedback(enc: Encoder, dec: Decoder, policy: FeedbackPolicy) -> Encoder:
+def apply_feedback(enc: Encoder, dec: Decoder, policy: FeedbackPolicy,
+                   stock: Callable[[int], DegreeDistribution]) -> Encoder:
     """Update the encoder from what the decoder reports over the feedback
     channel: the indices in `dec.decoded`, and `dec.layers_complete`.
 
-    Under a per-symbol ack every decoded symbol leaves the eligible set and
-    the distribution is rebuilt over what remains.  Under LAYER_ACK a layer
-    is excluded wholesale the moment it completes, at most once per layer.
+    Under a per-symbol ack every decoded symbol leaves the eligible set;
+    under LAYER_ACK a layer leaves it wholesale once, when it completes.  A
+    message that excludes something sets the distribution once, over the n
+    symbols left: `stock(n)`, or under ACK_ADAPTIVE the adaptive one.
     Returns the (mutated) encoder.
     """
     if policy is FeedbackPolicy.NONE:
         return enc
 
     if policy is FeedbackPolicy.LAYER_ACK:
+        fired = enc.layer_acks_fired
         for li, complete in enumerate(dec.layers_complete):
-            if complete and li not in enc.acked_layers:
-                enc.ack_layer(li)
-                _rebuild(enc)
-        return enc
+            if complete:
+                enc.ack_layer(li)  # a layer already acknowledged changes nothing
+        if enc.layer_acks_fired == fired:
+            return enc
+    else:
+        decoded = dec.decoded
+        if len(decoded) == enc.acked_count:
+            return enc  # decoded sets only grow, so equal size means no news
+        enc.ack_indices(decoded)
 
-    decoded = dec.decoded
-    if len(decoded) == enc.acked_count:
-        return enc  # decoded sets only grow, so equal size means no news
-    enc.ack_indices(decoded)
-    if policy is FeedbackPolicy.ACK_ORIGINAL:
-        _rebuild(enc)
-    elif enc.eligible_count:
-        enc.distribution = adaptive_degree_dist(enc.base_distribution, enc.eligible_count)
-    return enc
-
-
-def _rebuild(enc: Encoder):
-    """The stock distribution over the eligible symbols, if any remain."""
     remaining = enc.eligible_count
     if remaining:
-        if enc.dist_builder is None:
-            raise ValueError("rebuilding the distribution needs a dist_builder")
-        enc.distribution = enc.dist_builder(remaining)
+        enc.distribution = (adaptive_degree_dist(enc.base_distribution, remaining)
+                            if policy is FeedbackPolicy.ACK_ADAPTIVE else stock(remaining))
+    return enc

@@ -23,10 +23,7 @@ one process pool when it has workers.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
@@ -35,7 +32,6 @@ from typing import Optional
 import numpy as np
 import numpy.random  # noqa: F401  # loaded lazily otherwise: once in every forked worker
 
-from . import __version__
 from .codec import _BLOCK, Decoder, Encoder, InputBlock
 from .degree import LayerConfig, RsdParams, robust_soliton
 from .feedback import FeedbackPolicy, apply_feedback
@@ -56,9 +52,6 @@ __all__ = [
     "experiment_single_layer_feedback",
     "experiment_two_layer_ack",
     "experiment_deadline_distortion",
-    "write_csv",
-    "write_manifest",
-    "format_value",
 ]
 
 _SAFETY_CAP = 10_000_000  # sent-symbol bound against runaway trials
@@ -185,8 +178,8 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
     source, coder, channel = np.random.SeedSequence(seed[0], spawn_key=seed[1:]).spawn(3)
     k = config.k
     block = InputBlock.random(k, PAYLOAD_WIDTH, np.random.default_rng(source), config.layers)
-    builder = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
-    encoder = Encoder(block, builder(k), np.random.default_rng(coder), dist_builder=builder)
+    stock = lambda n: robust_soliton(RsdParams(n, config.c, config.delta))
+    encoder = Encoder(block, stock(k), np.random.default_rng(coder))
     ser = config.ser
     if 0.0 < ser < 1.0:  # symbols sent up to and including each arrival
         draw, log_ser = np.random.default_rng(channel).random, math.log(ser)
@@ -222,7 +215,7 @@ def run_trial(config: TrialConfig) -> TransmissionTrace:
         if newly:
             decodes.append((received, sent, *decoder.undecoded_per_layer))
             if feedback and len(decoded) < k:
-                apply_feedback(encoder, decoder, policy)
+                apply_feedback(encoder, decoder, policy, stock)
         elif not reduced:
             redundant_at.append(received)
 
@@ -345,8 +338,8 @@ def _run_schemes(schemes, grid, trials: int, seed, workers: int, reduce,
     ]
     pool, traces = None, map(run_trial, configs)
     try:
-        if workers > 1 and len(configs) > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
+        if workers > 1 and len(configs) > 1:  # a forked pool starts all its workers at once
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(configs)))
             # chunks no longer than a group: no worker holds more traces than the caller
             chunksize = max(1, min(len(configs) // (4 * workers), trials))
             traces = pool.map(run_trial, configs, chunksize=chunksize)
@@ -448,52 +441,3 @@ def experiment_deadline_distortion(
         per_trial=per_trial,
         payload_errors=sum(e for points in results.values() for _, e in points),
     )
-
-
-# ---------------------------------------------------------------------------
-# Result files
-
-
-def format_value(v) -> str:
-    """Diff-stable cell formatting: 9 significant digits for floats."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.9g}"
-    return str(v)
-
-
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_csv(path: str, header, rows):
-    """Write a CSV atomically: either the complete file appears or nothing."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_manifest(path: str, command: str, config: dict, extra: Optional[dict] = None):
-    """JSON run manifest: the full configuration needed to reproduce the
-    result file byte for byte, plus the package version."""
-    payload = {
-        "command": command,
-        "config": config,
-        "version": f"ltfeedback {__version__}",
-    }
-    if extra:
-        payload["results"] = extra
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -96,10 +96,10 @@ def test_c04_adaptive_ack_never_emits_redundant_symbols():
     redundant = 0
     while receptions < 100_000:
         block = InputBlock.random(100, 8, rng)
-        enc = Encoder(block, RSD100, rng, dist_builder=builder)
+        enc = Encoder(block, RSD100, rng)
         dec = Decoder(100)
         while len(dec.decoded) < dec.k:
-            apply_feedback(enc, dec, policy)
+            apply_feedback(enc, dec, policy, builder)
             result = dec.receive(enc.encode_next())
             receptions += 1
             redundant += result.redundant

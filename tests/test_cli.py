@@ -334,6 +334,16 @@ class TestFailureModes:
                    "--seconds", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_ser_grid_rounded_past_stop_ends_at_stop(self, tmp_path):
+        # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, outside [0, 1]
+        out = tmp_path / "dist.csv"
+        rc = main(["simulate", "distortion", "--ser", "0.09:0.07:1", "--k", "20",
+                   "--seconds", "2", "--threads", "1", "--out", str(out)])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 14 and rows[-1][0] == "1"
+        assert all(float(cell) == 1.0 for cell in rows[-1][1:])
+
     @pytest.mark.parametrize("argv", [["simulate", "single", "--runs", "0"],
                                       ["simulate", "distortion", "--seconds", "0"]],
                              ids=["runs", "seconds"])

@@ -116,22 +116,32 @@ class TestEncoder:
     @pytest.mark.parametrize("layers", [None, LayerConfig((15, 25), (3.0, 1.0))])
     def test_incremental_ack_equals_rebuild(self, layers):
         # acks only grow: each set removes only its new indices, and one that
-        # misses an earlier ack (17) leaves it excluded; the state equals a
-        # fresh encoder's rebuilt from the union, pools ascending again
+        # misses an earlier ack (17) leaves it excluded; a layer ack (an int)
+        # removes its layer's indices the same way; the state equals a fresh
+        # encoder's rebuilt from the union, pools ascending again
         rng = np.random.default_rng(12)
         block = InputBlock.random(40, 8, rng, layers)
         dist = robust_soliton(RsdParams(40, 0.1, 1.0))
         enc = Encoder(block, dist, rng)
         acks = [{3}, {3, 17, 30}, {3, 17, 30}, set(range(15)) | {30}, set(range(39))]
+        if layers is not None:
+            acks.insert(3, 0)  # layer 0 is indices 0..14
+        bounds = (0, 40) if layers is None else layers.boundaries()
         union = set()
         for acked in acks:
             for _ in range(5):
                 enc.encode_next()  # draws leave the pools out of order
-            enc.ack_indices(acked)
+            if isinstance(acked, int):
+                enc.ack_layer(acked)
+                acked = set(range(bounds[acked], bounds[acked + 1]))
+            else:
+                enc.ack_indices(acked)
             union |= acked
             fresh = Encoder(block, dist, np.random.default_rng(0))
             fresh._acked = set(union)
-            fresh._rebuild_groups()
+            fresh._ascending = [[i for i in range(lo, hi) if i not in union]
+                                for lo, hi in zip(bounds[:-1], bounds[1:])]
+            fresh._set_groups()
             for name in ("_acked", "_pools", "_counts", "_masses", "_weights"):
                 assert getattr(enc, name) == getattr(fresh, name), name
             assert union - acked <= enc.acked  # earlier acks this set misses stay

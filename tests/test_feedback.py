@@ -20,14 +20,12 @@ from ltfeedback.simulator import TrialConfig, run_trial
 from oracles import chi_square_pvalue
 
 
-def rsd_builder(c=0.1, delta=1.0):
-    return lambda n: robust_soliton(RsdParams(n, c, delta))
+def stock(n):
+    return robust_soliton(RsdParams(n, 0.1, 1.0))
 
 
 def make_encoder(k, rng, layers=None):
-    block = InputBlock.random(k, 8, rng, layers)
-    builder = rsd_builder()
-    return Encoder(block, builder(k), rng, dist_builder=builder)
+    return Encoder(InputBlock.random(k, 8, rng, layers), stock(k), rng)
 
 
 def snapshot_of(decoded, layers_complete=(False,)):
@@ -40,7 +38,7 @@ class TestNonePolicy:
         rng = np.random.default_rng(0)
         enc = make_encoder(20, rng)
         before = enc.distribution
-        apply_feedback(enc, snapshot_of({1, 2, 3}), FeedbackPolicy.NONE)
+        apply_feedback(enc, snapshot_of({1, 2, 3}), FeedbackPolicy.NONE, stock)
         assert enc.distribution is before
         assert enc.acked_count == 0
 
@@ -50,13 +48,13 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(1)
         enc = make_encoder(20, rng)
         before = enc.distribution
-        apply_feedback(enc, snapshot_of(set()), FeedbackPolicy.ACK_ORIGINAL)
+        apply_feedback(enc, snapshot_of(set()), FeedbackPolicy.ACK_ORIGINAL, stock)
         assert enc.distribution is before and enc.eligible_count == 20
 
     def test_original_mode_rebuilds_over_remaining(self):
         rng = np.random.default_rng(2)
         enc = make_encoder(100, rng)
-        apply_feedback(enc, snapshot_of(set(range(60))), FeedbackPolicy.ACK_ORIGINAL)
+        apply_feedback(enc, snapshot_of(set(range(60))), FeedbackPolicy.ACK_ORIGINAL, stock)
         assert enc.eligible_count == 40
         want = robust_soliton(RsdParams(40, 0.1, 1.0))
         assert np.array_equal(enc.distribution.pmf, want.pmf)
@@ -65,7 +63,7 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(3)
         enc = make_encoder(100, rng)
         policy = FeedbackPolicy.ACK_ADAPTIVE
-        apply_feedback(enc, snapshot_of(set(range(60))), policy)
+        apply_feedback(enc, snapshot_of(set(range(60))), policy, stock)
         assert enc.eligible_count == 40
         want = adaptive_degree_dist(robust_soliton(RsdParams(100, 0.1, 1.0)), 40)
         assert np.abs(enc.distribution.pmf - want.pmf).max() == 0.0
@@ -76,7 +74,7 @@ class TestPerSymbolAck:
         dec = Decoder(50)
         policy = FeedbackPolicy.ACK_ADAPTIVE
         for _ in range(300):
-            apply_feedback(enc, dec, policy)
+            apply_feedback(enc, dec, policy, stock)
             if enc.eligible_count == 0:
                 break
             sym = enc.encode_next()
@@ -90,7 +88,7 @@ class TestPerSymbolAck:
         dec = Decoder(100)
         policy = FeedbackPolicy.ACK_ADAPTIVE
         while len(dec.decoded) < dec.k:
-            apply_feedback(enc, dec, policy)
+            apply_feedback(enc, dec, policy, stock)
             result = dec.receive(enc.encode_next())
             assert not result.redundant
         assert dec.redundant_count == 0
@@ -111,7 +109,7 @@ class TestPerSymbolAck:
             enc = make_encoder(k, rng)
             dec = Decoder(k)
             while len(dec.decoded) < dec.k:
-                apply_feedback(enc, dec, policy)
+                apply_feedback(enc, dec, policy, stock)
                 dist = enc.distribution
                 result = dec.receive(enc.encode_next())
                 observed[result.reduced_degree] += 1
@@ -125,7 +123,7 @@ class TestPerSymbolAck:
         rng = np.random.default_rng(7)
         enc = make_encoder(10, rng)
         with pytest.raises(ValueError):
-            apply_feedback(enc, snapshot_of(foreign), FeedbackPolicy.ACK_ORIGINAL)
+            apply_feedback(enc, snapshot_of(foreign), FeedbackPolicy.ACK_ORIGINAL, stock)
 
 
 class TestLayerAck:
@@ -133,26 +131,44 @@ class TestLayerAck:
         rng = np.random.default_rng(8)
         enc = make_encoder(10, rng)
         with pytest.raises(ValueError):
-            apply_feedback(enc, snapshot_of(set(), (True,)), FeedbackPolicy.LAYER_ACK)
+            apply_feedback(enc, snapshot_of(set(), (True,)), FeedbackPolicy.LAYER_ACK, stock)
 
     def test_fires_once_and_drops_base_layer(self):
         rng = np.random.default_rng(9)
         layers = LayerConfig((10, 10), (9.0, 1.0))
         enc = make_encoder(20, rng, layers)
         snap = snapshot_of(set(range(10)), (True, False))
-        apply_feedback(enc, snap, FeedbackPolicy.LAYER_ACK)
+        apply_feedback(enc, snap, FeedbackPolicy.LAYER_ACK, stock)
         assert enc.layer_acks_fired == 1
         assert enc.eligible_count == 10
         assert enc.distribution.k == 10  # re-parameterized to the refinement size
-        apply_feedback(enc, snap, FeedbackPolicy.LAYER_ACK)
+        apply_feedback(enc, snap, FeedbackPolicy.LAYER_ACK, stock)
         assert enc.layer_acks_fired == 1  # second report changes nothing
+
+    def test_two_layers_completing_in_one_message_are_both_acked(self):
+        # the distribution is set once per message, over what both acks leave
+        rng = np.random.default_rng(10)
+        layers = LayerConfig((10, 10, 20), (9.0, 3.0, 1.0))
+        enc = make_encoder(40, rng, layers)
+        sizes = []
+
+        def counted(n):
+            sizes.append(n)
+            return stock(n)
+
+        apply_feedback(enc, snapshot_of(set(range(20)), (True, True, False)),
+                       FeedbackPolicy.LAYER_ACK, counted)
+        assert enc.acked_layers == {0, 1} and enc.layer_acks_fired == 2
+        assert enc.acked == frozenset(range(20)) and enc.eligible_count == 20
+        assert sizes == [20]
+        assert np.array_equal(enc.distribution.pmf, stock(20).pmf)
 
     def test_refinement_selection_becomes_uniform(self):
         rng = np.random.default_rng(11)
         layers = LayerConfig((10, 30), (9.0, 1.0))
         enc = make_encoder(40, rng, layers)
         apply_feedback(enc, snapshot_of(set(range(10)), (True, False)),
-                       FeedbackPolicy.LAYER_ACK)
+                       FeedbackPolicy.LAYER_ACK, stock)
         counts = np.zeros(40)
         n_syms = 30_000
         for _ in range(n_syms):
@@ -171,7 +187,7 @@ class TestLayerAck:
         policy = FeedbackPolicy.LAYER_ACK
         receptions = 0
         while len(dec.decoded) < dec.k:
-            apply_feedback(enc, dec, policy)
+            apply_feedback(enc, dec, policy, stock)
             dec.receive(enc.encode_next())
             receptions += 1
             assert receptions < 20_000
@@ -185,7 +201,7 @@ class TestPolicyObjectsAreShareable:
         for _ in range(2):
             rng = np.random.default_rng(77)
             enc = make_encoder(60, rng)
-            apply_feedback(enc, snapshot_of(set(range(20))), policy)
+            apply_feedback(enc, snapshot_of(set(range(20))), policy, stock)
             sym = enc.encode_next()
             outs.append((sym.neighbors, sym.payload))
         assert outs[0] == outs[1]
@@ -218,9 +234,9 @@ def test_same_snapshot_twice_changes_the_encoder_once(policy):
         enc.encode_next()
     snap = snapshot_of(set(range(10)) | {12, 25}, (True, False))
     before = encoder_state(enc)
-    apply_feedback(enc, snap, policy)
+    apply_feedback(enc, snap, policy, stock)
     once = encoder_state(enc)
-    apply_feedback(enc, snap, policy)
+    apply_feedback(enc, snap, policy, stock)
     assert encoder_state(enc) == once
     assert (once == before) == (policy is FeedbackPolicy.NONE)
 
@@ -245,7 +261,7 @@ class TestAckProperties:
         for _ in range(50 * k):
             if len(dec.decoded) == k:
                 break
-            apply_feedback(enc, dec, policy)
+            apply_feedback(enc, dec, policy, stock)
             if per_symbol:
                 acked |= dec.decoded.keys()
             else:

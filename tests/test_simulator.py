@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ltfeedback import simulator
+from ltfeedback.cli import format_value
 from ltfeedback.codec import Decoder, Encoder, InputBlock
 from ltfeedback.degree import LayerConfig, RsdParams, reduced_degree_dist, robust_soliton
 from ltfeedback.feedback import FeedbackPolicy
@@ -15,7 +16,6 @@ from ltfeedback.simulator import (
     experiment_deadline_distortion,
     experiment_single_layer_feedback,
     experiment_two_layer_ack,
-    format_value,
     run_trial,
     two_layer_config,
 )
@@ -499,6 +499,27 @@ def test_one_process_pool_per_experiment(monkeypatch, experiment, workers, pools
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
     EXPERIMENTS[experiment](workers)
     assert len(created) == pools
+
+
+def test_pool_has_no_more_workers_than_trials(monkeypatch):
+    # a forked pool starts all its workers at the first submit; this fake
+    # starts none and runs the trials in the caller
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, configs, chunksize=1):
+            return map(fn, configs)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    result = experiment_single_layer_feedback(k=20, runs=1, seed=0, workers=5000)
+    assert asked == [3]  # one trial of each of the three schemes
+    assert result.payload_errors == 0
 
 
 class TestFormatting:
